@@ -21,6 +21,15 @@ COLLINEAR = 0
 # floating-point sign is correct; below it we fall back to exact rationals.
 _ORIENT_ERRBOUND = (3.0 + 16.0 * 2.0 ** -53) * 2.0 ** -53
 
+# Shewchuk's bound assumes no product underflows, so the filter is trusted
+# only when detsum is at least this large.  Then _ORIENT_ERRBOUND * detsum
+# (>= 2^-1011) is a normal double and carries only relative rounding error,
+# and a product that is subnormal (< 2^-1022, absolute error <= 2^-1075) is
+# below 2^-62 of detsum: the other product is normal and dominates, so det
+# has that product's sign, which the filter reports.  Smaller detsums,
+# including products that underflowed to zero, take the exact path.
+_ORIENT_MIN_DETSUM = 2.0 ** -960
+
 _TANGENT_RTOL = 1e-12
 
 
@@ -34,6 +43,19 @@ class Segment(NamedTuple):
     b: Point
 
 
+def as_points(points: Iterable[Sequence[float]]) -> list[Point]:
+    """The input as a list of Points, reusing those that already are.
+
+    Raises ValueError naming the first point with a NaN or infinite
+    coordinate: the predicates are exact only on finite doubles.
+    """
+    pts = [p if isinstance(p, Point) else Point(p[0], p[1]) for p in points]
+    for k, (x, y) in enumerate(pts):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"point {k} has a non-finite coordinate ({x!r}, {y!r})")
+    return pts
+
+
 def dist(p: Sequence[float], q: Sequence[float]) -> float:
     """Euclidean distance between two points."""
     return math.hypot(p[0] - q[0], p[1] - q[1])
@@ -43,18 +65,33 @@ def orientation(p: Sequence[float], q: Sequence[float], r: Sequence[float]) -> i
     """Sign of the signed area of triangle (p, q, r).
 
     Returns LEFT (+1) when r lies left of the directed line p->q, RIGHT (-1)
-    when it lies right, COLLINEAR (0) otherwise.  A floating-point filter
-    with an exact rational fallback makes the sign always correct, so the
-    crossing tests built on top are combinatorially reliable.
+    when it lies right, COLLINEAR (0) otherwise.  The sign is exact for all
+    finite coordinates, subnormal and huge ones included, so the crossing
+    tests built on top are combinatorially reliable:
+
+    - a floating-point filter decides when the determinant is clear of its
+      rounding error and its products are clear of the underflow range;
+    - a triple with two equal points (by value), or with a zero coordinate
+      difference in each product, is COLLINEAR without further arithmetic;
+    - everything else is decided in exact rationals.
+
+    Coordinates must be finite; the public solvers reject NaN and infinities
+    at their entry points.
     """
-    detleft = (q[0] - p[0]) * (r[1] - p[1])
-    detright = (q[1] - p[1]) * (r[0] - p[0])
+    qx, qy = q[0] - p[0], q[1] - p[1]
+    rx, ry = r[0] - p[0], r[1] - p[1]
+    detleft = qx * ry
+    detright = qy * rx
     det = detleft - detright
     detsum = abs(detleft) + abs(detright)
-    if abs(det) > _ORIENT_ERRBOUND * detsum:
+    if abs(det) > _ORIENT_ERRBOUND * detsum and detsum >= _ORIENT_MIN_DETSUM:
         return LEFT if det > 0.0 else RIGHT
-    if detsum == 0.0:
-        # both products are exactly zero; det == 0 is exact
+    # A difference of finite doubles is zero only when the coordinates are
+    # equal, so these two tests are exact.  The first covers p == q and
+    # p == r; the second q == r, whose float det is 0 with detsum > 0.
+    if (qx == 0.0 or ry == 0.0) and (qy == 0.0 or rx == 0.0):
+        return COLLINEAR
+    if q[0] == r[0] and q[1] == r[1]:
         return COLLINEAR
     exact = (Fraction(q[0]) - Fraction(p[0])) * (Fraction(r[1]) - Fraction(p[1])) - (
         Fraction(q[1]) - Fraction(p[1])

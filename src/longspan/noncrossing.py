@@ -17,7 +17,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
-from .geometry import Point, diametral_pair, dist, orientation, segments_cross
+from .geometry import Point, as_points, diametral_pair, dist, orientation, segments_cross
 from .report import SolveReport
 from .trees import Tree, is_noncrossing, tree_length, validate_spanning_tree
 
@@ -298,7 +298,7 @@ def solve_ncst(points: Sequence[Sequence[float]], prune: bool = True) -> SolveRe
     n = len(points)
     if n < 2:
         raise ValueError("need at least two points")
-    pts = [Point(p[0], p[1]) for p in points]
+    pts = as_points(points)
     iu, iv = diametral_pair(pts)
     diam = dist(pts[iu], pts[iv])
     if diam == 0.0:

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .geometry import Point, bichromatic_diametral_pair, diametral_pair, dist, segments_cross
+from .geometry import as_points, bichromatic_diametral_pair, diametral_pair, dist, segments_cross
 from .neighborhoods import NeighborhoodSet, StnbSolution
 from .report import SolveReport
 from .trees import Tree, max_spanning_tree, tree_length
@@ -26,16 +26,16 @@ def exact_ncst(
     Depth-first search over all edges sorted by length descending, keeping
     partial forests acyclic and pairwise noncrossing.  With prune=True an
     optimistic bound (current length plus the longest still-available edges)
-    cuts hopeless branches; the bound carries a small slack so pruned and
-    unpruned runs return identical trees.  Ties break to the
-    lexicographically smallest edge list.
+    cuts hopeless branches; the bound carries a small relative slack so
+    pruned and unpruned runs return identical trees at any coordinate scale.
+    Ties break to the lexicographically smallest edge list.
     """
     n = len(points)
     if n < 2:
         raise ValueError("need at least two points")
     if n > max_n:
         raise ValueError("instance too large for oracle")
-    pts = [Point(p[0], p[1]) for p in points]
+    pts = as_points(points)
 
     edges = []
     for i in range(n):
@@ -60,7 +60,7 @@ def exact_ncst(
                 cross_mask[y] |= 1 << x
 
     target = n - 1
-    slack = 1e-9 * (1.0 + prefix[min(target, m)])
+    slack = 1e-9 * prefix[min(target, m)]
     best_len = -1.0
     best_edges: tuple[tuple[int, int], ...] | None = None
 

@@ -10,7 +10,7 @@ from .geometry import Point
 from .trees import Tree
 
 
-@dataclass
+@dataclass(slots=True)
 class SolveReport:
     """Winning candidate of a solver run.
 

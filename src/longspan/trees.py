@@ -11,7 +11,7 @@ from typing import Sequence
 from .geometry import Point, dist, segments_cross
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tree:
     """A graph over vertices 0..n-1 given as an edge list.
 

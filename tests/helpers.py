@@ -53,6 +53,16 @@ def edge_length_sum(edges, pts) -> float:
     )
 
 
+def orientation_reference(p, q, r) -> int:
+    """Sign of the orientation determinant, computed in exact rationals
+    only (no floating-point filter, no shortcuts)."""
+    from fractions import Fraction
+
+    px, py, qx, qy, rx, ry = map(Fraction, (*p, *q, *r))
+    det = (qx - px) * (ry - py) - (qy - py) * (rx - px)
+    return (det > 0) - (det < 0)
+
+
 def segments_cross_reference(s1, s2) -> bool:
     """Same crossing semantics, written independently via parametric
     intersection with exact rational arithmetic."""

@@ -19,7 +19,7 @@ from longspan.geometry import (
 )
 from longspan.instances import GenSpec, generate
 
-from helpers import segments_cross_reference
+from helpers import orientation_reference, segments_cross_reference
 
 
 def test_dist_examples():
@@ -54,6 +54,53 @@ def test_orientation_antisymmetry_and_cyclic_invariance():
         s = orientation(p, q, r)
         assert s == -orientation(p, r, q)
         assert s == orientation(q, r, p) == orientation(r, p, q)
+
+
+def test_orientation_underflowed_products_are_not_collinear():
+    # both products underflow to 0.0 in doubles; the triangle is still left
+    assert orientation((0, 0), (1e-300, 0), (0, 1e-300)) == LEFT
+    assert orientation((0, 0), (0, 1e-300), (1e-300, 0)) == RIGHT
+    tiny = 5e-324  # smallest subnormal
+    assert orientation((0, 0), (tiny, 0), (0, tiny)) == LEFT
+
+
+def _orientation_cases():
+    rng = random.Random(7)
+    # exponent 0 is ordinary input; the others make the products subnormal
+    # or zero (-540, -537, -500), put detsum near the filter's underflow
+    # guard (-481, -480, -470), overflow products (+520, +1000), or
+    # overflow coordinate differences as well (+1017)
+    for e in (0, -1074, -1000, -600, -540, -537, -511, -500, -481, -480, -470,
+              -300, 300, 520, 1000, 1017):
+        scale = 2.0**e
+        for _ in range(40):
+            # coordinates with few significant bits, so scaling by 2^e stays
+            # exact and exact collinearities survive
+            pts = [(rng.randrange(-64, 65) * scale, rng.randrange(-64, 65) * scale)
+                   for _ in range(3)]
+            yield pts
+            p, q, _ = pts
+            # near-degenerate: a rounded point on the line pq, and its
+            # neighbours one ulp away
+            t = rng.random()
+            r = (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
+            yield [p, q, r]
+            yield [p, q, (math.nextafter(r[0], math.inf), r[1])]
+            yield [p, q, (r[0], math.nextafter(r[1], -math.inf))]
+            # full-precision coordinates
+            yield [(rng.uniform(-1, 1) * scale, rng.uniform(-1, 1) * scale)
+                   for _ in range(3)]
+
+
+def test_orientation_matches_rational_reference():
+    for p, q, r in _orientation_cases():
+        # repeated points in every position pair, equal by value across
+        # sequence types too
+        for a, b, c in ((p, q, r), (p, p, r), (p, q, p), (p, q, q), (r, q, r),
+                        (p, p, p), (p, q, list(q))):
+            if not all(math.isfinite(v) for pt in (a, b, c) for v in pt):
+                continue
+            assert orientation(a, b, c) == orientation_reference(a, b, c), (a, b, c)
 
 
 def test_segments_cross_examples():

@@ -13,6 +13,7 @@ from longspan.noncrossing import (
     ncst_params,
     solve_ncst,
 )
+from longspan.oracles import exact_ncst
 from longspan.trees import is_noncrossing, tree_length, validate_spanning_tree
 
 from helpers import max_noncrossing_tree_bruteforce
@@ -186,6 +187,24 @@ def test_solve_ncst_scaling_leaves_winner_unchanged():
     assert rep_s.length == pytest.approx(3.7 * rep.length, rel=1e-12)
 
 
+def test_solve_ncst_and_exact_ncst_are_scale_invariant():
+    # coordinates are multiples of 2^-20 in [0, 1), so scaling by 2^k is
+    # exact and every pairwise distance stays a normal double for k >= -1000;
+    # below k = -480 the orientation products underflow and the exact path
+    # decides every sign
+    rng = random.Random(36)
+    pts = [(rng.randrange(1 << 20) / (1 << 20), rng.randrange(1 << 20) / (1 << 20))
+           for _ in range(12)]
+    base = solve_ncst(pts)
+    base_exact = exact_ncst(pts, max_n=12)
+    for k in sorted(set(range(-1000, 501, 250)) | {-540, -481, -480}):
+        scaled = [(math.ldexp(x, k), math.ldexp(y, k)) for x, y in pts]
+        rep = solve_ncst(scaled)
+        assert (rep.tree.edges, rep.candidate, rep.guess) == (
+            base.tree.edges, base.candidate, base.guess), k
+        assert exact_ncst(scaled, max_n=12).edges == base_exact.edges, k
+
+
 def test_solve_ncst_prune_matches_noprune():
     rng = random.Random(35)
     for _ in range(6):
@@ -202,6 +221,13 @@ def test_solve_ncst_rejects_tiny_inputs():
         solve_ncst([(0, 0)])
     with pytest.raises(ValueError, match="coincide"):
         solve_ncst([(1, 1), (1, 1)])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_solve_ncst_rejects_non_finite_points(bad):
+    pts = [(0, 0), (1, 0), (0.5, bad), (bad, 1)]
+    with pytest.raises(ValueError, match="point 2 has a non-finite coordinate"):
+        solve_ncst(pts)
 
 
 def test_anchored_tree_phase_edge_floors():

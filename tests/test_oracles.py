@@ -51,6 +51,13 @@ def test_exact_ncst_guard():
     exact_ncst(pts, max_n=12)  # override allows it
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_exact_ncst_rejects_non_finite_points(bad):
+    pts = [(0, 0), (bad, 0), (1, 1)]
+    with pytest.raises(ValueError, match="point 1 has a non-finite coordinate"):
+        exact_ncst(pts)
+
+
 def test_exact_ncst_matches_unpruned_enumeration():
     rng = random.Random(41)
     for _ in range(12):
