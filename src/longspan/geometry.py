@@ -8,8 +8,8 @@ Everything here is a pure function; no shared mutable state.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 LEFT = 1
@@ -18,7 +18,7 @@ COLLINEAR = 0
 
 # Static filter bound for the 2x2 orientation determinant evaluated in
 # doubles (Shewchuk's errbound A).  |det| above this bound guarantees the
-# floating-point sign is correct; below it we fall back to exact rationals.
+# floating-point sign is correct; below it we fall back to exact integers.
 _ORIENT_ERRBOUND = (3.0 + 16.0 * 2.0 ** -53) * 2.0 ** -53
 
 # Shewchuk's bound assumes no product underflows, so the filter is trusted
@@ -73,7 +73,7 @@ def orientation(p: Sequence[float], q: Sequence[float], r: Sequence[float]) -> i
       rounding error and its products are clear of the underflow range;
     - a triple with two equal points (by value), or with a zero coordinate
       difference in each product, is COLLINEAR without further arithmetic;
-    - everything else is decided in exact rationals.
+    - everything else is decided in exact integer arithmetic.
 
     Coordinates must be finite; the public solvers reject NaN and infinities
     at their entry points.
@@ -93,14 +93,27 @@ def orientation(p: Sequence[float], q: Sequence[float], r: Sequence[float]) -> i
         return COLLINEAR
     if q[0] == r[0] and q[1] == r[1]:
         return COLLINEAR
-    exact = (Fraction(q[0]) - Fraction(p[0])) * (Fraction(r[1]) - Fraction(p[1])) - (
-        Fraction(q[1]) - Fraction(p[1])
-    ) * (Fraction(r[0]) - Fraction(p[0]))
+    px, py, qx, qy, rx, ry = _common_integers((p[0], p[1], q[0], q[1], r[0], r[1]))
+    exact = (qx - px) * (ry - py) - (qy - py) * (rx - px)
     if exact > 0:
         return LEFT
     if exact < 0:
         return RIGHT
     return COLLINEAR
+
+
+def _common_integers(coords: Sequence[float]) -> list[int]:
+    # Each coordinate is num/den; scaling all by their common denominator
+    # keeps every determinant's sign.  Inlined, the comprehension would make
+    # den a closure cell of orientation, a cost on every call.
+    ratios = []
+    for c in coords:
+        try:
+            ratios.append(c.as_integer_ratio())
+        except AttributeError:  # integer scalars without it, such as numpy's
+            ratios.append((operator.index(c), 1))
+    den = math.lcm(*(d for _, d in ratios))
+    return [num * (den // d) for num, d in ratios]
 
 
 def _within_box(a: Sequence[float], b: Sequence[float], x: Sequence[float]) -> bool:
@@ -156,6 +169,23 @@ def segments_cross(s1: Segment | Sequence, s2: Segment | Sequence) -> bool:
     return not shared
 
 
+def _farthest_pair(
+    points: Sequence[Sequence[float]], colors: Sequence[int]
+) -> tuple[int, int] | None:
+    # only a strictly larger distance replaces the pair: ties keep the first
+    best = -1.0
+    pair = None
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            if colors[i] == colors[j]:
+                continue
+            dij = dist(points[i], points[j])
+            if dij > best:
+                best = dij
+                pair = (i, j)
+    return pair
+
+
 def diametral_pair(points: Sequence[Sequence[float]]) -> tuple[int, int]:
     """Index pair (i, j), i < j, attaining the maximum pairwise distance.
 
@@ -163,15 +193,8 @@ def diametral_pair(points: Sequence[Sequence[float]]) -> tuple[int, int]:
     """
     if len(points) < 2:
         raise ValueError("too few points")
-    best = -1.0
-    pair = (0, 1)
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            dij = dist(points[i], points[j])
-            if dij > best:
-                best = dij
-                pair = (i, j)
-    return pair
+    # only NaN distances leave no pair; the first pair stands in for them
+    return _farthest_pair(points, range(len(points))) or (0, 1)
 
 
 def bichromatic_diametral_pair(
@@ -184,16 +207,7 @@ def bichromatic_diametral_pair(
     """
     if len(points) != len(colors):
         raise ValueError("points and colors differ in length")
-    best = -1.0
-    pair = None
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if colors[i] == colors[j]:
-                continue
-            dij = dist(points[i], points[j])
-            if dij > best:
-                best = dij
-                pair = (i, j)
+    pair = _farthest_pair(points, colors)
     if pair is None:
         raise ValueError("no bichromatic pair")
     return pair

@@ -12,6 +12,7 @@ from typing import Iterable, Sequence
 from .geometry import (
     Frame,
     Point,
+    as_points,
     bichromatic_diametral_pair,
     canonical_frame,
     dist,
@@ -26,16 +27,18 @@ class Neighborhood:
 
     Single-vertex rings model point neighborhoods.  Only boundary vertices
     matter to the solvers: a farthest point inside a polygon is always
-    attained at a vertex.
+    attained at a vertex.  A NaN or infinite vertex coordinate raises
+    ValueError naming the color and the vertex's index in its ring.
     """
 
     color: int
     polygons: tuple[tuple[Point, ...], ...]
 
     def __post_init__(self):
-        polys = tuple(
-            tuple(Point(p[0], p[1]) for p in ring) for ring in self.polygons
-        )
+        try:
+            polys = tuple(tuple(as_points(ring)) for ring in self.polygons)
+        except ValueError as err:
+            raise ValueError(f"neighborhood of color {self.color}: {err}") from None
         if not polys or any(len(ring) == 0 for ring in polys):
             raise ValueError("neighborhood needs at least one polygon vertex")
         object.__setattr__(self, "polygons", polys)

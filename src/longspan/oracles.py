@@ -15,7 +15,7 @@ from typing import Sequence
 from .geometry import as_points, bichromatic_diametral_pair, diametral_pair, dist, segments_cross
 from .neighborhoods import NeighborhoodSet, StnbSolution
 from .report import SolveReport
-from .trees import Tree, max_spanning_tree, tree_length
+from .trees import Tree, _prim, max_spanning_tree, tree_length
 
 
 def exact_ncst(
@@ -104,31 +104,6 @@ def exact_ncst(
     return Tree(n, best_edges)
 
 
-def _prim_max_length(indices: Sequence[int], dmat: list[list[float]]) -> float:
-    k = len(indices)
-    if k == 1:
-        return 0.0
-    in_tree = [False] * k
-    in_tree[0] = True
-    row0 = dmat[indices[0]]
-    key = [row0[v] for v in indices]
-    total = 0.0
-    for _ in range(k - 1):
-        pick = -1
-        for t in range(k):
-            if not in_tree[t] and (pick < 0 or key[t] > key[pick]):
-                pick = t
-        in_tree[pick] = True
-        total += key[pick]
-        row = dmat[indices[pick]]
-        for t in range(k):
-            if not in_tree[t]:
-                w = row[indices[t]]
-                if w > key[t]:
-                    key[t] = w
-    return total
-
-
 def exact_stnb(nbs: NeighborhoodSet, max_assignments: int = 10**6) -> StnbSolution:
     """The optimal representative assignment, by full enumeration.
 
@@ -148,7 +123,7 @@ def exact_stnb(nbs: NeighborhoodSet, max_assignments: int = 10**6) -> StnbSoluti
     best_len = -1.0
     best_assign: tuple[int, ...] | None = None
     for assign in itertools.product(*ranges):
-        length = _prim_max_length(assign, dmat)
+        length = _prim(dmat, assign, 0, None)[1]
         if length > best_len:
             best_len, best_assign = length, assign
 

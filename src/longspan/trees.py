@@ -93,35 +93,47 @@ def is_noncrossing(
     return True, None
 
 
-def _prim(points: Sequence[Sequence[float]], maximize: bool) -> Tree:
-    n = len(points)
-    if n == 0:
+def _prim(
+    w: Sequence[Sequence[float]], vertices: Sequence[int], root: int, first: int | None
+) -> tuple[list[int], float]:
+    """Dense Prim maximizing over the weight matrix w restricted to vertices.
+
+    Positions 0..k-1 index `vertices`; the tree grows from position root,
+    and with `first` given that position is attached to the root before any
+    other.  Keys and picks compare strictly, so ties go to the smallest
+    position.  Returns (parent, total): parent[t] is the position t hangs
+    from (parent[root] == root), total the sum of the picked weights in
+    pick order.
+    """
+    key = list(map(w[vertices[root]].__getitem__, vertices))
+    parent = [root] * len(vertices)
+    rest = [t for t in range(len(vertices)) if t != root]
+    pick = first
+    if pick is None and rest:
+        pick = max(rest, key=key.__getitem__)
+    total = 0.0
+    while rest:
+        total += key[pick]
+        rest.remove(pick)
+        row = w[vertices[pick]]
+        best = -1
+        # one pass: raise the keys through pick, then take the next argmax
+        for t in rest:
+            x = row[vertices[t]]
+            if x > key[t]:
+                key[t] = x
+                parent[t] = pick
+            if best < 0 or key[t] > key[best]:
+                best = t
+        pick = best
+    return parent, total
+
+
+def _max_tree(w: list[list[float]], root: int = 0, first: int | None = None) -> Tree:
+    if not w:
         raise ValueError("empty point set")
-    if n == 1:
-        return Tree(1, ())
-    in_tree = [False] * n
-    in_tree[0] = True
-    key = [dist(points[0], points[k]) for k in range(n)]
-    parent = [0] * n
-    edges = []
-    better = (lambda a, b: a > b) if maximize else (lambda a, b: a < b)
-    for _ in range(n - 1):
-        pick = -1
-        for k in range(n):
-            if in_tree[k]:
-                continue
-            if pick < 0 or better(key[k], key[pick]):
-                pick = k
-        in_tree[pick] = True
-        edges.append((parent[pick], pick))
-        for k in range(n):
-            if in_tree[k]:
-                continue
-            w = dist(points[pick], points[k])
-            if better(w, key[k]):
-                key[k] = w
-                parent[k] = pick
-    return Tree(n, tuple(edges))
+    parent, _ = _prim(w, range(len(w)), root, first)
+    return Tree(len(w), tuple((parent[t], t) for t in range(len(w)) if t != root))
 
 
 def min_spanning_tree(points: Sequence[Sequence[float]]) -> Tree:
@@ -130,12 +142,13 @@ def min_spanning_tree(points: Sequence[Sequence[float]]) -> Tree:
     Deterministic: ties in keys and vertex selection break to the smallest
     index.
     """
-    return _prim(points, maximize=False)
+    # negation is exact, so the maximizing kernel makes the same comparisons
+    return _max_tree([[-dist(p, q) for q in points] for p in points])
 
 
 def max_spanning_tree(points: Sequence[Sequence[float]]) -> Tree:
-    """Exact Euclidean maximum spanning tree (Prim on negated weights)."""
-    return _prim(points, maximize=True)
+    """Exact Euclidean maximum spanning tree (dense Prim, O(n^2))."""
+    return _max_tree([[dist(p, q) for q in points] for p in points])
 
 
 def max_spanning_tree_through(
@@ -149,38 +162,7 @@ def max_spanning_tree_through(
     n = len(points)
     if not (0 <= i < n and 0 <= j < n) or i == j:
         raise ValueError("invalid forced edge")
-    if n == 2:
-        return Tree(2, ((i, j),))
-    in_tree = [False] * n
-    in_tree[i] = in_tree[j] = True
-    key = [0.0] * n
-    parent = [i] * n
-    for k in range(n):
-        if in_tree[k]:
-            continue
-        key[k] = dist(points[i], points[k])
-        dj = dist(points[j], points[k])
-        if dj > key[k]:
-            key[k] = dj
-            parent[k] = j
-    edges = [(i, j)]
-    for _ in range(n - 2):
-        pick = -1
-        for k in range(n):
-            if in_tree[k]:
-                continue
-            if pick < 0 or key[k] > key[pick]:
-                pick = k
-        in_tree[pick] = True
-        edges.append((parent[pick], pick))
-        for k in range(n):
-            if in_tree[k]:
-                continue
-            w = dist(points[pick], points[k])
-            if w > key[k]:
-                key[k] = w
-                parent[k] = pick
-    return Tree(n, tuple(edges))
+    return _max_tree([[dist(p, q) for q in points] for p in points], i, j)
 
 
 def star(points: Sequence[Sequence[float]], center: int) -> Tree:
@@ -221,19 +203,17 @@ class Fermat3Result:
     degenerate_at_vertex: int | None
 
 
-_WEISZFELD_MAX_ITER = 200_000
-_WEISZFELD_STEP_RTOL = 1e-13
-
-
 def fermat_point(
     a: Sequence[float], b: Sequence[float], c: Sequence[float]
 ) -> Fermat3Result:
     """Steiner minimal tree of {a, b, c}.
 
     Analytic test first: a vertex with angle >= 120 degrees is itself the
-    junction and the SMT is its two incident sides.  Otherwise the interior
-    junction is found by Weiszfeld iteration (relative step threshold 1e-13,
-    with a nudge restart if an iterate lands exactly on an input point).
+    junction and the SMT is its two incident sides.  Otherwise the junction
+    is the Torricelli point, in closed form: its barycentric weight at the
+    vertex with angle A and opposite side a is a / sin(A + 60 degrees), or
+    2abc / (2 * area + sqrt(3) * dot), where dot is the inner product of the
+    two sides at that vertex; 2abc is common to all three and drops out.
     """
     pts = [Point(a[0], a[1]), Point(b[0], b[1]), Point(c[0], c[1])]
     # collapsed triples: answer is the distance between the distinct pair
@@ -241,34 +221,20 @@ def fermat_point(
         u, w = (v + 1) % 3, (v + 2) % 3
         if pts[u] == pts[w]:
             return Fermat3Result(pts[u], dist(pts[u], pts[v]), u)
+    x = y = wsum = 0.0
     for v in range(3):
         u, w = (v + 1) % 3, (v + 2) % 3
         ux, uy = pts[u].x - pts[v].x, pts[u].y - pts[v].y
         wx, wy = pts[w].x - pts[v].x, pts[w].y - pts[v].y
         dot = ux * wx + uy * wy
-        if dot <= -0.5 * math.hypot(ux, uy) * math.hypot(wx, wy):
+        # 2 * area + sqrt(3) * dot == |vu| |vw| * 2 sin(angle + 60 degrees)
+        denom = abs(ux * wy - uy * wx) + math.sqrt(3.0) * dot
+        if dot <= -0.5 * math.hypot(ux, uy) * math.hypot(wx, wy) or denom <= 0.0:
             # angle at v is >= 120 degrees
             length = dist(pts[v], pts[u]) + dist(pts[v], pts[w])
             return Fermat3Result(pts[v], length, v)
-    scale = max(dist(pts[i], pts[j]) for i in range(3) for j in range(i + 1, 3))
-    x = ((pts[0].x + pts[1].x + pts[2].x) / 3.0, (pts[0].y + pts[1].y + pts[2].y) / 3.0)
-    centroid = x
-    for _ in range(_WEISZFELD_MAX_ITER):
-        ds = [dist(x, p) for p in pts]
-        if min(ds) == 0.0:
-            # stalled on an input vertex: nudge toward the centroid
-            k = ds.index(0.0)
-            x = (
-                pts[k].x + 1e-9 * scale * (centroid[0] - pts[k].x + 1.0),
-                pts[k].y + 1e-9 * scale * (centroid[1] - pts[k].y + 1.0),
-            )
-            continue
-        wsum = sum(1.0 / d for d in ds)
-        nx = sum(p.x / d for p, d in zip(pts, ds)) / wsum
-        ny = sum(p.y / d for p, d in zip(pts, ds)) / wsum
-        step = math.hypot(nx - x[0], ny - x[1])
-        x = (nx, ny)
-        if step <= _WEISZFELD_STEP_RTOL * scale:
-            break
-    sp = Point(x[0], x[1])
+        wsum += 1.0 / denom
+        x += pts[v].x / denom
+        y += pts[v].y / denom
+    sp = Point(x / wsum, y / wsum)
     return Fermat3Result(sp, sum(dist(sp, p) for p in pts), None)

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -32,6 +33,17 @@ def test_orientation_examples():
     assert orientation((0, 0), (1, 0), (0, 1)) == LEFT
     assert orientation((0, 0), (1, 0), (2, 0)) == COLLINEAR
     assert orientation((0, 0), (1, 0), (1, -1)) == RIGHT
+    # rational coordinates that the float filter cannot decide
+    thirds = [(Fraction(k, 3), Fraction(2 * k, 3)) for k in range(3)]
+    assert orientation(*thirds) == COLLINEAR
+    above = (Fraction(2, 3), Fraction(4, 3) + Fraction(1, 10**30))
+    assert orientation(thirds[0], thirds[1], above) == LEFT
+
+
+def test_orientation_takes_numpy_integer_coordinates():
+    np = pytest.importorskip("numpy")
+    p, q, r = np.array([[0, 0], [1, 1], [2, 2]])
+    assert orientation(p, q, r) == COLLINEAR
 
 
 def test_orientation_exactness_on_near_degenerate_input():
@@ -148,6 +160,10 @@ def test_segments_cross_symmetry_properties():
         assert v == segments_cross_reference(s1, s2)
 
 
+LATTICE_4X4 = [(x, y) for y in range(4) for x in range(4)]
+HEXAGON = [(math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)) for k in range(6)]
+
+
 def test_diametral_pair_examples():
     assert diametral_pair([(0, 0), (1, 0), (0.2, 0.1)]) == (0, 1)
     assert diametral_pair([(0, 0), (0, 0), (1, 0)]) == (0, 2)
@@ -158,6 +174,9 @@ def test_diametral_pair_examples():
         key=lambda ij: dist(square[ij[0]], square[ij[1]]),
     )
     assert diametral_pair(square) == best == (0, 2)
+    # inputs full of ties: the first pair in index order wins
+    assert diametral_pair(LATTICE_4X4) == (0, 15)
+    assert diametral_pair(HEXAGON) == (0, 3)
 
 
 def test_diametral_pair_matches_exhaustive_scan():
@@ -182,6 +201,9 @@ def test_bichromatic_diametral_pair_examples():
     assert bichromatic_diametral_pair([(0, 0), (4, 4)], [1, 2]) == (0, 1)
     with pytest.raises(ValueError, match="no bichromatic pair"):
         bichromatic_diametral_pair([(0, 0), (1, 0)], [1, 1])
+    # inputs full of ties: the first bichromatic pair in index order wins
+    assert bichromatic_diametral_pair(LATTICE_4X4, [k % 3 for k in range(16)]) == (0, 11)
+    assert bichromatic_diametral_pair(HEXAGON, [k % 3 for k in range(6)]) == (0, 4)
 
 
 def test_bichromatic_pair_on_counterexample_instance():

@@ -53,6 +53,15 @@ def test_neighborhood_set_invariants():
     assert nbs.colors == [1, 2]
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("solver", [solve_stnb, exact_stnb])
+@pytest.mark.parametrize("count", [2, 3])
+def test_solvers_reject_non_finite_vertices(bad, solver, count):
+    rings = [((0, 0), (1, 0)), ((3, 0), (bad, 2), (4, 1)), ((0, 5),)][:count]
+    with pytest.raises(ValueError, match="color 2: point 1 has a non-finite coordinate"):
+        solver(NeighborhoodSet([Neighborhood(k + 1, (ring,)) for k, ring in enumerate(rings)]))
+
+
 def test_stnb_params_identities():
     p = stnb_params(0.524)
     assert p.omega == pytest.approx(0.815, abs=1e-3)

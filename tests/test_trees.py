@@ -132,6 +132,32 @@ def test_max_spanning_tree_through_forces_edge():
         assert tree_length(t, pts) == pytest.approx(best, abs=1e-12)
 
 
+LATTICE_4X4 = [(x, y) for y in range(4) for x in range(4)]
+HEXAGON = [(math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)) for k in range(6)]
+
+
+def test_spanning_tree_tie_breaks_are_pinned():
+    # inputs full of equal distances; the edge lists are the smallest-index
+    # tie-breaks of dense Prim, recorded once and kept fixed
+    assert min_spanning_tree(LATTICE_4X4).edges == (
+        (0, 1), (0, 4), (1, 2), (1, 5), (2, 3), (2, 6), (3, 7), (4, 8),
+        (5, 9), (6, 10), (7, 11), (8, 12), (9, 13), (10, 14), (11, 15),
+    )
+    assert max_spanning_tree(LATTICE_4X4).edges == (
+        (0, 10), (0, 11), (0, 14), (0, 15), (1, 15), (2, 12), (2, 15), (3, 8),
+        (3, 9), (3, 12), (3, 13), (4, 15), (5, 15), (6, 12), (7, 12),
+    )
+    assert max_spanning_tree_through(LATTICE_4X4, 1, 14).edges == (
+        (0, 10), (0, 11), (0, 14), (0, 15), (1, 14), (2, 12), (2, 15), (3, 8),
+        (3, 9), (3, 12), (3, 13), (4, 15), (5, 15), (6, 12), (7, 12),
+    )
+    assert min_spanning_tree(HEXAGON).edges == ((0, 1), (0, 5), (1, 2), (2, 3), (3, 4))
+    assert max_spanning_tree(HEXAGON).edges == ((0, 3), (0, 4), (1, 4), (2, 5), (3, 5))
+    assert max_spanning_tree_through(HEXAGON, 5, 0).edges == (
+        (0, 3), (0, 4), (0, 5), (1, 4), (2, 5),
+    )
+
+
 def test_star_examples():
     pts = [(0, 0), (1, 0), (0, 1)]
     assert star(pts, 0).edges == ((0, 1), (0, 2))
@@ -203,6 +229,14 @@ def test_fermat_point_wide_angle():
     res = fermat_point(a, b, c)
     assert res.degenerate_at_vertex == 0
     assert res.smt_length == pytest.approx(1.0 + 1.0, abs=1e-12)
+    # 120 degrees at a to within rounding: the angle test reads it as just
+    # below 120, but the Torricelli weight's denominator rounds to zero
+    a = (0.12509285189282648, 0.011226797702000413)
+    b = (0.5003815499362818, 0.26173738905935684)
+    c = (-0.3477179930692871, 0.244661392057025)
+    res = fermat_point(a, b, c)
+    assert res.degenerate_at_vertex == 0
+    assert res.smt_length == dist(a, b) + dist(a, c)
 
 
 def test_fermat_point_collapsed_triples():
