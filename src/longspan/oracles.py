@@ -15,7 +15,7 @@ from typing import Sequence
 from .geometry import as_points, bichromatic_diametral_pair, diametral_pair, dist, segments_cross
 from .neighborhoods import NeighborhoodSet, StnbSolution
 from .report import SolveReport
-from .trees import Tree, _prim, max_spanning_tree, tree_length
+from .trees import Tree, _prim, tree_length
 
 
 def exact_ncst(
@@ -123,12 +123,13 @@ def exact_stnb(nbs: NeighborhoodSet, max_assignments: int = 10**6) -> StnbSoluti
     best_len = -1.0
     best_assign: tuple[int, ...] | None = None
     for assign in itertools.product(*ranges):
-        length = _prim(dmat, assign, 0, None)[1]
+        parent, length = _prim(dmat.__getitem__, assign, 0, None)
         if length > best_len:
-            best_len, best_assign = length, assign
+            best_len, best_assign, best_parent = length, assign, parent
 
     rep_points = [npts[v] for v in best_assign]
-    tree = max_spanning_tree(rep_points)
+    k = len(best_assign)
+    tree = Tree(k, tuple((best_parent[t], t) for t in range(1, k)))
     reps = {nb.color: v for nb, v in zip(nbs.neighborhoods, best_assign)}
     return StnbSolution(reps, tree, "oracle", tree_length(tree, rep_points))
 

@@ -6,7 +6,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import repeat
+from operator import neg
+from typing import Callable, Sequence
 
 from .geometry import Point, dist, segments_cross
 
@@ -94,18 +96,19 @@ def is_noncrossing(
 
 
 def _prim(
-    w: Sequence[Sequence[float]], vertices: Sequence[int], root: int, first: int | None
+    row: Callable[[int], Sequence[float]], vertices: Sequence[int], root: int,
+    first: int | None,
 ) -> tuple[list[int], float]:
-    """Dense Prim maximizing over the weight matrix w restricted to vertices.
+    """Dense Prim maximizing over the weights row(i)[j] among vertices.
 
     Positions 0..k-1 index `vertices`; the tree grows from position root,
     and with `first` given that position is attached to the root before any
     other.  Keys and picks compare strictly, so ties go to the smallest
     position.  Returns (parent, total): parent[t] is the position t hangs
     from (parent[root] == root), total the sum of the picked weights in
-    pick order.
+    pick order.  row is called once per pick.
     """
-    key = list(map(w[vertices[root]].__getitem__, vertices))
+    key = list(map(row(vertices[root]).__getitem__, vertices))
     parent = [root] * len(vertices)
     rest = [t for t in range(len(vertices)) if t != root]
     pick = first
@@ -115,11 +118,11 @@ def _prim(
     while rest:
         total += key[pick]
         rest.remove(pick)
-        row = w[vertices[pick]]
+        w = row(vertices[pick])
         best = -1
         # one pass: raise the keys through pick, then take the next argmax
         for t in rest:
-            x = row[vertices[t]]
+            x = w[vertices[t]]
             if x > key[t]:
                 key[t] = x
                 parent[t] = pick
@@ -129,11 +132,22 @@ def _prim(
     return parent, total
 
 
-def _max_tree(w: list[list[float]], root: int = 0, first: int | None = None) -> Tree:
-    if not w:
+def _max_tree(
+    points: Sequence[Sequence[float]], root: int = 0, first: int | None = None,
+    negate: bool = False,
+) -> Tree:
+    n = len(points)
+    if n == 0:
         raise ValueError("empty point set")
-    parent, _ = _prim(w, range(len(w)), root, first)
-    return Tree(len(w), tuple((parent[t], t) for t in range(len(w)) if t != root))
+
+    def row(i: int) -> list[float]:
+        # one row of distances per pick keeps memory O(n); negation is
+        # exact, so maximizing -dist makes the minimizing comparisons
+        d = list(map(dist, repeat(points[i]), points))
+        return list(map(neg, d)) if negate else d
+
+    parent, _ = _prim(row, range(n), root, first)
+    return Tree(n, tuple((parent[t], t) for t in range(n) if t != root))
 
 
 def min_spanning_tree(points: Sequence[Sequence[float]]) -> Tree:
@@ -142,13 +156,12 @@ def min_spanning_tree(points: Sequence[Sequence[float]]) -> Tree:
     Deterministic: ties in keys and vertex selection break to the smallest
     index.
     """
-    # negation is exact, so the maximizing kernel makes the same comparisons
-    return _max_tree([[-dist(p, q) for q in points] for p in points])
+    return _max_tree(points, negate=True)
 
 
 def max_spanning_tree(points: Sequence[Sequence[float]]) -> Tree:
     """Exact Euclidean maximum spanning tree (dense Prim, O(n^2))."""
-    return _max_tree([[dist(p, q) for q in points] for p in points])
+    return _max_tree(points)
 
 
 def max_spanning_tree_through(
@@ -162,7 +175,7 @@ def max_spanning_tree_through(
     n = len(points)
     if not (0 <= i < n and 0 <= j < n) or i == j:
         raise ValueError("invalid forced edge")
-    return _max_tree([[dist(p, q) for q in points] for p in points], i, j)
+    return _max_tree(points, i, j)
 
 
 def star(points: Sequence[Sequence[float]], center: int) -> Tree:
@@ -221,11 +234,17 @@ def fermat_point(
         u, w = (v + 1) % 3, (v + 2) % 3
         if pts[u] == pts[w]:
             return Fermat3Result(pts[u], dist(pts[u], pts[v]), u)
-    x = y = wsum = 0.0
+    # offsets from pts[0] scaled by a power of two, which is exact while
+    # they stay normal doubles, so that the products below neither overflow
+    # nor underflow whatever the size of the triangle
+    off = [(p.x - pts[0].x, p.y - pts[0].y) for p in pts]
+    e = math.frexp(max(abs(t) for o in off for t in o))[1]
+    rel = [(math.ldexp(dx, -e), math.ldexp(dy, -e)) for dx, dy in off]
+    den = []
     for v in range(3):
         u, w = (v + 1) % 3, (v + 2) % 3
-        ux, uy = pts[u].x - pts[v].x, pts[u].y - pts[v].y
-        wx, wy = pts[w].x - pts[v].x, pts[w].y - pts[v].y
+        ux, uy = rel[u][0] - rel[v][0], rel[u][1] - rel[v][1]
+        wx, wy = rel[w][0] - rel[v][0], rel[w][1] - rel[v][1]
         dot = ux * wx + uy * wy
         # 2 * area + sqrt(3) * dot == |vu| |vw| * 2 sin(angle + 60 degrees)
         denom = abs(ux * wy - uy * wx) + math.sqrt(3.0) * dot
@@ -233,8 +252,11 @@ def fermat_point(
             # angle at v is >= 120 degrees
             length = dist(pts[v], pts[u]) + dist(pts[v], pts[w])
             return Fermat3Result(pts[v], length, v)
-        wsum += 1.0 / denom
-        x += pts[v].x / denom
-        y += pts[v].y / denom
-    sp = Point(x / wsum, y / wsum)
+        den.append(denom)
+    # the weights 1 / den[v], multiplied through by den[0] * den[1] * den[2]
+    wts = (den[1] * den[2], den[0] * den[2], den[0] * den[1])
+    wsum = sum(wts)
+    sx = sum(wt * r[0] for wt, r in zip(wts, rel)) / wsum
+    sy = sum(wt * r[1] for wt, r in zip(wts, rel)) / wsum
+    sp = Point(pts[0].x + math.ldexp(sx, e), pts[0].y + math.ldexp(sy, e))
     return Fermat3Result(sp, sum(dist(sp, p) for p in pts), None)

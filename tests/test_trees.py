@@ -246,6 +246,36 @@ def test_fermat_point_collapsed_triples():
     assert res.smt_length == 0.0
 
 
+def test_fermat_point_is_scale_invariant():
+    # coordinates are multiples of 2^-20 in [-1, 1), so scaling by 2^k is
+    # exact and every nonzero coordinate difference stays a normal double
+    # for k >= -1000; at both ends products of raw differences would
+    # underflow or overflow
+    rng = random.Random(19)
+    tris = [
+        [(rng.randrange(-1 << 20, 1 << 20) / (1 << 20),
+          rng.randrange(-1 << 20, 1 << 20) / (1 << 20)) for _ in range(3)]
+        for _ in range(200)
+    ]
+    for tri in tris:
+        base = fermat_point(*tri)
+        for k in range(-1000, 1001, 125):
+            scaled = [(math.ldexp(x, k), math.ldexp(y, k)) for x, y in tri]
+            res = fermat_point(*scaled)
+            assert res.degenerate_at_vertex == base.degenerate_at_vertex, (tri, k)
+            assert math.ldexp(res.smt_length, -k) == pytest.approx(
+                base.smt_length, rel=1e-15), (tri, k)
+            sp = tuple(math.ldexp(t, -k) for t in res.steiner_point)
+            assert sp == pytest.approx(tuple(base.steiner_point), rel=1e-15, abs=1e-15)
+    # equilateral triples with sides 1e-160 and 1e300, at and off the origin
+    base = fermat_point((0, 0), (1, 0), (0.5, 0.866))
+    for s, (ox, oy) in ((1e-160, (0, 0)), (1e-160, (3e-158, -7e-158)),
+                        (1e300, (0, 0)), (1e300, (-2e301, 5e300))):
+        res = fermat_point((ox, oy), (ox + s, oy), (ox + 0.5 * s, oy + 0.866 * s))
+        assert res.degenerate_at_vertex is None
+        assert res.smt_length / s == pytest.approx(base.smt_length, rel=1e-12), s
+
+
 def test_fermat_point_matches_grid_oracle():
     rng = random.Random(17)
     for _ in range(15):
