@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Iterable, NamedTuple, Sequence
 
 LEFT = 1
@@ -46,14 +48,19 @@ class Segment(NamedTuple):
 def as_points(points: Iterable[Sequence[float]]) -> list[Point]:
     """The input as a list of Points, reusing those that already are.
 
-    Raises ValueError naming the first point with a NaN or infinite
-    coordinate: the predicates are exact only on finite doubles.
+    Integer scalars such as numpy's become Python ints, whose products
+    cannot wrap.  Raises ValueError naming the first point with a NaN or
+    infinite coordinate: the predicates are exact only on finite doubles.
     """
-    pts = [p if isinstance(p, Point) else Point(p[0], p[1]) for p in points]
+    pts = [p if isinstance(p, Point) else Point(_scalar(p[0]), _scalar(p[1])) for p in points]
     for k, (x, y) in enumerate(pts):
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError(f"point {k} has a non-finite coordinate ({x!r}, {y!r})")
     return pts
+
+
+def _scalar(c: float) -> float:
+    return operator.index(c) if isinstance(c, Integral) else c
 
 
 def dist(p: Sequence[float], q: Sequence[float]) -> float:
@@ -76,7 +83,9 @@ def orientation(p: Sequence[float], q: Sequence[float], r: Sequence[float]) -> i
     - everything else is decided in exact integer arithmetic.
 
     Coordinates must be finite; the public solvers reject NaN and infinities
-    at their entry points.
+    at their entry points.  Raw numpy int64 coordinates must go through
+    as_points first: the float filter would multiply them in 64 bits, which
+    wraps past about 2^31.5.
     """
     qx, qy = q[0] - p[0], q[1] - p[1]
     rx, ry = r[0] - p[0], r[1] - p[1]
@@ -172,29 +181,67 @@ def segments_cross(s1: Segment | Sequence, s2: Segment | Sequence) -> bool:
 def _farthest_pair(
     points: Sequence[Sequence[float]], colors: Sequence[int]
 ) -> tuple[int, int] | None:
+    # The first pair in index order, of two colors, with the largest dist;
+    # None when there is none.  Only points that can end such a pair enter
+    # the quadratic scan.  For r_k = |p_k g| and R = max r_k, the triangle
+    # inequality gives |p_i p_j| <= r_i + R, so a pair whose dist reaches
+    # the dist L of some pair of two colors has r_i + R >= L and
+    # r_j + R >= L, up to rounding.  A coordinate difference, in dist or
+    # against g, is off by at most 2^-51 times the largest magnitude M of a
+    # coordinate on its axis: ints, Fractions and numpy integers are rounded
+    # to doubles before they meet the float g, and the subtraction rounds
+    # (narrower floats, such as numpy float32, round more: not covered).
+    # Hypot and the sum add relative errors of a few 2^-53 and, for
+    # subnormal results, 2^-1074 per hypot.  The slack, 2^-40 relative,
+    # 2^-45 (Mx + My) and 2^-1060 absolute, covers that many times over.  A
+    # dist that overflows needs r_i + R near the largest double, hence the
+    # cap on L; an r that overflows makes every r_k + R infinite, so all
+    # points are kept.
+    xs = [p[0] for p in points]
+    ys = [p[1] for p in points]
+    if not all(map(math.isfinite, xs + ys)):
+        k = next(k for k, p in enumerate(zip(xs, ys)) if not all(map(math.isfinite, p)))
+        raise ValueError(f"point {k} has a non-finite coordinate ({xs[k]!r}, {ys[k]!r})")
+    if not xs:
+        return None
+    x0, x1, y0, y1 = 0.5 * min(xs), 0.5 * max(xs), 0.5 * min(ys), 0.5 * max(ys)
+    gx, gy = x0 + x1, y0 + y1
+    mxy = max(abs(x0), abs(x1)) + max(abs(y0), abs(y1))  # (Mx + My) / 2
+    r = [math.hypot(x - gx, y - gy) for x, y in zip(xs, ys)]
+    big = max(r)
+    t = r.index(big)  # L: two farthest-point sweeps over the other colors
+    for _ in range(2):
+        p, c = points[t], colors[t]
+        far, t = max(((dist(p, q), k) for k, q in enumerate(points) if colors[k] != c),
+                     default=(None, t))
+        if far is None:
+            return None
+    cut = min(far, sys.float_info.max) * (1.0 - 2.0**-40) - 2.0**-44 * mxy - 2.0**-1060
+    keep = [k for k in range(len(points)) if r[k] + big >= cut]
     # only a strictly larger distance replaces the pair: ties keep the first
     best = -1.0
     pair = None
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if colors[i] == colors[j]:
-                continue
-            dij = dist(points[i], points[j])
-            if dij > best:
-                best = dij
-                pair = (i, j)
+    for a, i in enumerate(keep):
+        p, c = points[i], colors[i]
+        for j in keep[a + 1:]:
+            if colors[j] != c:
+                dij = dist(p, points[j])
+                if dij > best:
+                    best = dij
+                    pair = (i, j)
     return pair
 
 
 def diametral_pair(points: Sequence[Sequence[float]]) -> tuple[int, int]:
     """Index pair (i, j), i < j, attaining the maximum pairwise distance.
 
-    Quadratic scan; ties break to the lexicographically smallest pair.
+    Ties break to the lexicographically smallest pair.  Quadratic when all
+    points lie on one circle, near-linear on spread-out input.  Raises
+    ValueError naming the first point with a NaN or infinite coordinate.
     """
     if len(points) < 2:
         raise ValueError("too few points")
-    # only NaN distances leave no pair; the first pair stands in for them
-    return _farthest_pair(points, range(len(points))) or (0, 1)
+    return _farthest_pair(points, range(len(points)))
 
 
 def bichromatic_diametral_pair(
@@ -203,7 +250,7 @@ def bichromatic_diametral_pair(
     """Farthest pair of points carrying different colors.
 
     Same scan and tie-break as diametral_pair.  Raises ValueError when all
-    points share one color.
+    points share one color or a coordinate is NaN or infinite.
     """
     if len(points) != len(colors):
         raise ValueError("points and colors differ in length")

@@ -213,7 +213,8 @@ def solve_stnb(nbs: NeighborhoodSet) -> SolveReport:
     at the vertex of a's neighborhood farthest from a), S2 (likewise for b),
     S3 (centered at the vertex maximizing |av| + |bv|), and the double-star
     D, then reports the longest; ties keep the earliest candidate in the
-    order S1, S2, S3, D.  O(N^2) for the diametral pair, linear afterwards.
+    order S1, S2, S3, D.  Linear after the diametral pair, whose scan is
+    near-linear on spread-out vertices and O(N^2) when all lie on a circle.
     """
     a, b = bichromatic_diametral_pair(nbs.points, nbs.colors)
     pa, pb = nbs.points[a], nbs.points[b]

@@ -10,7 +10,7 @@ from itertools import repeat
 from operator import neg
 from typing import Callable, Sequence
 
-from .geometry import Point, dist, segments_cross
+from .geometry import Point, as_points, dist, segments_cross
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,6 +136,7 @@ def _max_tree(
     points: Sequence[Sequence[float]], root: int = 0, first: int | None = None,
     negate: bool = False,
 ) -> Tree:
+    points = as_points(points)
     n = len(points)
     if n == 0:
         raise ValueError("empty point set")

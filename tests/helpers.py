@@ -63,6 +63,20 @@ def orientation_reference(p, q, r) -> int:
     return (det > 0) - (det < 0)
 
 
+def farthest_pair_reference(points, colors):
+    """The first index pair (i, j), i < j, of two colors whose hypot
+    distance is strictly the largest, by scanning all pairs; None when
+    there is no pair of two colors."""
+    best, pair = -1.0, None
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            if colors[i] != colors[j]:
+                d = math.hypot(points[i][0] - points[j][0], points[i][1] - points[j][1])
+                if d > best:
+                    best, pair = d, (i, j)
+    return pair
+
+
 def segments_cross_reference(s1, s2) -> bool:
     """Same crossing semantics, written independently via parametric
     intersection with exact rational arithmetic."""

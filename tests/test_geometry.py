@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from longspan import geometry
 from longspan.geometry import (
     COLLINEAR,
     LEFT,
     RIGHT,
+    as_points,
     bichromatic_diametral_pair,
     canonical_frame,
     circle_circle_intersections,
@@ -20,7 +22,7 @@ from longspan.geometry import (
 )
 from longspan.instances import GenSpec, generate
 
-from helpers import orientation_reference, segments_cross_reference
+from helpers import farthest_pair_reference, orientation_reference, segments_cross_reference
 
 
 def test_dist_examples():
@@ -44,6 +46,14 @@ def test_orientation_takes_numpy_integer_coordinates():
     np = pytest.importorskip("numpy")
     p, q, r = np.array([[0, 0], [1, 1], [2, 2]])
     assert orientation(p, q, r) == COLLINEAR
+
+
+def test_as_points_turns_numpy_integers_into_ints():
+    np = pytest.importorskip("numpy")
+    # as int64 the float filter's products wrap; as_points makes them ints
+    wide = np.array([[0, 0], [2**32, 1], [1, 2**32]])
+    assert orientation(*as_points(wide)) == LEFT
+    assert all(type(c) is int for p in as_points(wide) for c in p)
 
 
 def test_orientation_exactness_on_near_degenerate_input():
@@ -191,9 +201,103 @@ def test_diametral_pair_matches_exhaustive_scan():
         assert dist(pts[i], pts[j]) == dmax
 
 
+def _farthest_pair_cases(rng):
+    """Point sets of every shape the bound filter must not get wrong."""
+    yield LATTICE_4X4
+    yield HEXAGON
+    for _ in range(40):
+        n = rng.randrange(2, 40)
+        yield [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
+        # duplicates
+        base = [(rng.randrange(3), rng.randrange(3)) for _ in range(4)]
+        yield [rng.choice(base) for _ in range(n)]
+        # all collinear
+        a, b = rng.uniform(-2, 2), rng.uniform(-2, 2)
+        yield [(t, a * t + b) for t in (rng.uniform(-1, 1) for _ in range(n))]
+        # all on one circle: the filter keeps every point
+        angles = (rng.uniform(0, 2 * math.pi) for _ in range(n))
+        yield [(0.5 + 0.5 * math.cos(t), 0.5 + 0.5 * math.sin(t)) for t in angles]
+        # two clusters 1e-15 across: near-ties everywhere
+        yield [(rng.randrange(2) + 1e-15 * rng.random(), 1e-15 * rng.random()) for _ in range(n)]
+        # near the largest double: distances and radii overflow
+        yield [(rng.choice((-1, 1)) * rng.uniform(0.5, 1) * 1.7e308,
+                rng.choice((-1, 1)) * rng.uniform(0.5, 1) * 1.7e308) for _ in range(n)]
+        # multiples of the smallest subnormal: hypot rounds to 2^-1074
+        yield [(rng.randrange(-40, 41) * 5e-324, rng.randrange(-40, 41) * 5e-324)
+               for _ in range(n)]
+        # scaled by 2^k, subnormal to huge
+        k = rng.randrange(-1070, 1001)
+        yield [(math.ldexp(rng.uniform(-1, 1), k), math.ldexp(rng.uniform(-1, 1), k))
+               for _ in range(n)]
+        # ints above 2^53 and Fraction clusters: exact differences in dist,
+        # but rounded to doubles against the float centre
+        off = rng.choice((2**53, 2**60, -(2**70)))
+        yield [(off + rng.randrange(-5, 6), rng.randrange(-5, 6)) for _ in range(n)]
+        yield [(1 + Fraction(rng.randrange(-9, 10), 10**20),
+                Fraction(rng.randrange(-9, 10), 10**20)) for _ in range(n)]
+
+
+def test_farthest_pair_scans_match_reference():
+    rng = random.Random(20201007)
+    for pts in _farthest_pair_cases(rng):
+        n = len(pts)
+        assert diametral_pair(pts) == farthest_pair_reference(pts, range(n))
+        colors = [rng.randrange(rng.randrange(1, 4)) for _ in range(n)]
+        expected = farthest_pair_reference(pts, colors)
+        if expected is None:
+            with pytest.raises(ValueError, match="no bichromatic pair"):
+                bichromatic_diametral_pair(pts, colors)
+        else:
+            assert bichromatic_diametral_pair(pts, colors) == expected
+
+
+def test_farthest_pair_scans_take_numpy_arrays():
+    np = pytest.importorskip("numpy")
+    rng = np.random.default_rng(5)
+    for pts in (rng.random((60, 2)), rng.integers(-1000, 1000, (60, 2)),
+                rng.integers(-5, 6, (60, 2)) + np.array([2**60, 0])):
+        colors = rng.integers(0, 3, 60)
+        assert diametral_pair(pts) == farthest_pair_reference(pts, range(60))
+        assert bichromatic_diametral_pair(pts, colors) == farthest_pair_reference(pts, colors)
+
+
+def test_farthest_pair_scan_prunes_spread_out_input(monkeypatch):
+    nbs = generate(GenSpec("random_neighborhoods", 250, 7, vertices_per_nb=4))
+    calls = 0
+
+    def counting_dist(p, q):
+        nonlocal calls
+        calls += 1
+        return dist(p, q)
+
+    monkeypatch.setattr(geometry, "dist", counting_dist)
+    pair = bichromatic_diametral_pair(nbs.points, nbs.colors)
+    assert pair == farthest_pair_reference(nbs.points, nbs.colors)
+    assert calls < len(nbs.points) ** 2 / 20
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_farthest_pair_scans_reject_non_finite_points(bad):
+    for pts, k in (([(bad, 0), (0, 0)], 0), ([(0, 0), (1, 0), (2, bad)], 2), ([(bad, bad)] * 3, 0)):
+        with pytest.raises(ValueError, match=f"point {k} has a non-finite coordinate"):
+            diametral_pair(pts)
+        with pytest.raises(ValueError, match=f"point {k} has a non-finite coordinate"):
+            bichromatic_diametral_pair(pts, [0, 1, 0][: len(pts)])
+
+
 def test_diametral_pair_too_few():
     with pytest.raises(ValueError, match="too few"):
         diametral_pair([(0, 0)])
+
+
+def test_farthest_pair_scans_take_exact_coordinates_beyond_doubles():
+    # as doubles these points coincide, so a filter that rounds them keeps none
+    big = [(2**60, 0), (2**60 + 1, 0), (2**60 + 2, 0)]
+    assert diametral_pair(big) == (0, 2)
+    assert bichromatic_diametral_pair(big, [0, 1, 0]) == (0, 1)
+    tiny = [(1 + Fraction(k, 10**20), 0) for k in range(5)]
+    assert diametral_pair(tiny) == (0, 4)
+    assert bichromatic_diametral_pair(tiny, [0, 0, 1, 1, 0]) == (0, 3)
 
 
 def test_bichromatic_diametral_pair_examples():

@@ -159,6 +159,14 @@ def test_oracle_ratio_records():
     assert rec.ratio == pytest.approx(1.0)
 
 
+def test_oracle_ratio_with_given_length_rejects_non_finite_points():
+    pts = list(generate(GenSpec(kind="uniform_square", n=6, seed=77)))
+    rep = solve_ncst(pts)
+    pts[4] = (math.nan, 0.5)
+    with pytest.raises(ValueError, match="point 4 has a non-finite coordinate"):
+        oracle_ratio(pts, rep, oracle_length=rep.length)
+
+
 def test_two_cluster_star_ratio_near_half():
     # with two tight clusters the best star is half the Max-ST plus O(1/n)
     from longspan.trees import best_star

@@ -85,6 +85,16 @@ def test_max_spanning_tree_examples():
     assert max_spanning_tree([(0, 0), (2, 1)]).edges == ((0, 1),)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "build",
+    [min_spanning_tree, max_spanning_tree, lambda pts: max_spanning_tree_through(pts, 0, 2)],
+)
+def test_spanning_trees_reject_non_finite_points(build, bad):
+    with pytest.raises(ValueError, match="point 1 has a non-finite coordinate"):
+        build([(0, 0), (bad, 0), (1, 0)])
+
+
 def test_spanning_trees_against_full_enumeration():
     rng = random.Random(11)
     for _ in range(10):
