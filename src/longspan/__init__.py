@@ -13,11 +13,9 @@ from .geometry import (
     COLLINEAR,
     LEFT,
     RIGHT,
-    Frame,
     Point,
     Segment,
     bichromatic_diametral_pair,
-    canonical_frame,
     circle_circle_intersections,
     diametral_pair,
     dist,

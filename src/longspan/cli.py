@@ -25,8 +25,8 @@ from .instances import (
     write_points,
     write_tree,
 )
-from .neighborhoods import solve_stnb, stnb_params
-from .noncrossing import ncst_params, solve_ncst
+from .neighborhoods import DELTA_NEIGHBORHOOD, solve_stnb, stnb_params
+from .noncrossing import DELTA_NONCROSSING, ncst_params, solve_ncst
 from .oracles import exact_ncst, exact_stnb, oracle_ratio
 from .report import SolveReport
 from .svg import render_solution
@@ -56,7 +56,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--vertices-per-nb", type=int, default=None)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("ncst", help="0.519-approximate longest noncrossing spanning tree")
+    p = sub.add_parser("ncst", help=f"{DELTA_NONCROSSING}-approximate longest noncrossing "
+                       "spanning tree")
     p.add_argument("--points", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--svg", default=None)
@@ -64,7 +65,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--no-prune", action="store_true")
     p.add_argument("--report", default=None)
 
-    p = sub.add_parser("stnb", help="0.524-approximate longest spanning tree with neighborhoods")
+    p = sub.add_parser("stnb", help=f"{DELTA_NEIGHBORHOOD}-approximate longest spanning tree "
+                       "with neighborhoods")
     p.add_argument("--nbs", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--svg", default=None)
@@ -279,7 +281,7 @@ def _cmd_ratio(args) -> int:
 
 def _bench_paper_constants() -> dict:
     report = constants.identity_suite()
-    d = 1.0 / (2.0 * 0.519)
+    d = ncst_params(1.0).d
     return {
         "lf_length": report.lf_len,
         "omega_neighborhood": stnb_params().omega,
@@ -324,33 +326,15 @@ def _bench_lemmas(seed: int) -> dict:
     # sampled margins for the two triple-connection bounds (both deltas)
     rng = SplitMix64(seed)
     results = {}
-    for name, delta in (("neighborhood_524", 0.524), ("noncrossing_519", 0.519)):
-        params_nb = stnb_params(0.524)
-        worst = float("inf")
-        count = 0
-        while count < 2000:
-            if name == "neighborhood_524":
-                q = (rng.uniform(-1.0, 2.0), rng.uniform(-1.1, 1.1))
-                a, b = (0.0, 0.0), (1.0, 0.0)
-                da, db = dist(q, a), dist(q, b)
-                in_l12 = (db <= 1.0 and da <= 2 * delta) or (
-                    da <= 1.0 and db <= 2 * delta
-                )
-                if not in_l12 or da + db <= params_nb.ellipse_sum:
-                    continue
-            else:
-                ab = rng.uniform(1.0 / (2 * delta), 1.0)
-                a, b = (0.0, 0.0), (ab, 0.0)
-                q = (rng.uniform(ab - 1.0, 1.0), rng.uniform(-1.0, 1.0))
-                params_nc = ncst_params(ab)
-                da, db = dist(q, a), dist(q, b)
-                if da > 1.0 or db > 1.0 or da + db <= params_nc.lam:
-                    continue
-            count += 1
-            p = (rng.uniform(-1.5, 2.5), rng.uniform(-1.5, 1.5))
-            margin = dist(p, a) + dist(p, b) + dist(p, q) - 3 * delta
-            worst = min(worst, margin)
-        results[name] = {"samples": count, "worst_margin": worst}
+    for name, analysis, delta in (
+        ("neighborhood_524", "neighborhood", DELTA_NEIGHBORHOOD),
+        ("noncrossing_519", "noncrossing", DELTA_NONCROSSING),
+    ):
+        worst = min(
+            dist(p, a) + dist(p, b) + dist(p, q) - 3 * delta
+            for a, b, q, p in constants.triple_samples(rng, analysis, 2000)
+        )
+        results[name] = {"samples": 2000, "worst_margin": worst}
     return results
 
 

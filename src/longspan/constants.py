@@ -2,20 +2,21 @@
 
 The ratio analyses bound the longest possible tree edge in specific regions
 by explicit radicals; this module evaluates those radicals and the algebraic
-identities that tie the chosen parameters to the ratios 0.524 and 0.519.
-Transcribed verbatim from the derivations and unit-tested against their
-decimal values.
+identities that tie the chosen parameters to the ratios 0.524 and 0.519,
+and samples the triple-connection bound both ratios rest on.  Transcribed
+verbatim from the derivations and unit-tested against their decimal values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
-from .neighborhoods import stnb_params
-from .noncrossing import DELTA_NONCROSSING, ncst_params
-
-DELTA_NEIGHBORHOOD = 0.524
+from .geometry import dist
+from .instances import SplitMix64
+from .neighborhoods import DELTA_NEIGHBORHOOD, stnb_label, stnb_params
+from .noncrossing import DELTA_NONCROSSING, _strip_split, ncst_label, ncst_params
 
 
 def lf_length(delta: float = DELTA_NEIGHBORHOOD) -> float:
@@ -115,3 +116,35 @@ def identity_suite(num_samples: int = 50) -> ConstantsReport:
         ),
         ratio_floor_margin=0.5 / 0.963 - DELTA_NONCROSSING,
     )
+
+
+def triple_samples(rng: SplitMix64, analysis: str, count: int) -> Iterator[tuple]:
+    """Yield count samples (a, b, q, p) for the triple-connection bound
+    |pa| + |pb| + |pq| > 3*delta of one analysis, q in its region Q.
+
+    "neighborhood" (delta 0.524): a = (0, 0), b = (1, 0), q uniform in
+    [-1, 2] x [-1.1, 1.1] until it is in Q = (L1 union L2) minus E.
+    "noncrossing" (delta 0.519): |ab| uniform in [d, 1], a = (0, 0),
+    b = (|ab|, 0), q uniform in [|ab| - 1, 1] x [-1, 1] until it is in
+    Q = L minus E1.  Both boxes cover the lenses.  The probe p is uniform in
+    [-1.5, 2.5] x [-1.5, 1.5], drawn once q is accepted.
+    """
+    if analysis not in ("neighborhood", "noncrossing"):
+        raise ValueError(f"unknown analysis {analysis!r}")
+    params_nb = stnb_params()
+    d = ncst_params(1.0).d
+    for _ in range(count):
+        while True:
+            if analysis == "neighborhood":
+                q = (rng.uniform(-1.0, 2.0), rng.uniform(-1.1, 1.1))
+                a, b = (0.0, 0.0), (1.0, 0.0)
+                in_q = stnb_label(dist(q, a), dist(q, b), params_nb).in_Q
+            else:
+                ab = rng.uniform(d, 1.0)
+                a, b = (0.0, 0.0), (ab, 0.0)
+                q = (rng.uniform(ab - 1.0, 1.0), rng.uniform(-1.0, 1.0))
+                *_, (_, _, strip) = _strip_split((a, b, q), 0, 1)
+                in_q = ncst_label(dist(q, a), dist(q, b), strip, ncst_params(ab)).in_Q
+            if in_q:
+                break
+        yield a, b, q, (rng.uniform(-1.5, 2.5), rng.uniform(-1.5, 1.5))

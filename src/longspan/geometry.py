@@ -1,6 +1,5 @@
 """Planar primitives: distances, exact orientation, segment crossing,
-diametral pairs, disk/ellipse membership, circle intersections, and the
-rigid-frame transform the tree algorithms run in.
+diametral pairs, disk/ellipse membership and circle intersections.
 
 Everything here is a pure function; no shared mutable state.
 """
@@ -10,8 +9,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Rational, Real
 from typing import Iterable, NamedTuple, Sequence
 
 LEFT = 1
@@ -49,18 +47,31 @@ def as_points(points: Iterable[Sequence[float]]) -> list[Point]:
     """The input as a list of Points, reusing those that already are.
 
     Integer scalars such as numpy's become Python ints, whose products
-    cannot wrap.  Raises ValueError naming the first point with a NaN or
-    infinite coordinate: the predicates are exact only on finite doubles.
+    cannot wrap, and narrower floats such as numpy float32 become Python
+    floats, which is exact; Fractions stay as they are.  Raises ValueError
+    naming the first point with a NaN or infinite coordinate, or an int
+    beyond the double range: the predicates are exact only on finite doubles.
     """
     pts = [p if isinstance(p, Point) else Point(_scalar(p[0]), _scalar(p[1])) for p in points]
-    for k, (x, y) in enumerate(pts):
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValueError(f"point {k} has a non-finite coordinate ({x!r}, {y!r})")
+    _check_finite(pts)
     return pts
 
 
 def _scalar(c: float) -> float:
-    return operator.index(c) if isinstance(c, Integral) else c
+    if isinstance(c, Integral):
+        return operator.index(c)
+    if isinstance(c, Real) and not isinstance(c, (float, Rational)) and float(c) == c:
+        return float(c)
+    return c
+
+
+def _check_finite(points: Iterable[Sequence[float]]) -> None:
+    try:
+        for k, (x, y) in enumerate(points):
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"point {k} has a non-finite coordinate ({x!r}, {y!r})")
+    except OverflowError:  # an int beyond the double range
+        raise ValueError(f"point {k} has a coordinate beyond the double range") from None
 
 
 def dist(p: Sequence[float], q: Sequence[float]) -> float:
@@ -83,9 +94,9 @@ def orientation(p: Sequence[float], q: Sequence[float], r: Sequence[float]) -> i
     - everything else is decided in exact integer arithmetic.
 
     Coordinates must be finite; the public solvers reject NaN and infinities
-    at their entry points.  Raw numpy int64 coordinates must go through
-    as_points first: the float filter would multiply them in 64 bits, which
-    wraps past about 2^31.5.
+    at their entry points.  Raw numpy int64 or float32 coordinates must go
+    through as_points first: the float filter would multiply them in 64-bit
+    integers, which wrap past about 2^31.5, or in single precision.
     """
     qx, qy = q[0] - p[0], q[1] - p[1]
     rx, ry = r[0] - p[0], r[1] - p[1]
@@ -199,9 +210,12 @@ def _farthest_pair(
     # points are kept.
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
-    if not all(map(math.isfinite, xs + ys)):
-        k = next(k for k, p in enumerate(zip(xs, ys)) if not all(map(math.isfinite, p)))
-        raise ValueError(f"point {k} has a non-finite coordinate ({xs[k]!r}, {ys[k]!r})")
+    try:
+        finite = all(map(math.isfinite, xs + ys))
+    except OverflowError:
+        finite = False
+    if not finite:
+        _check_finite(zip(xs, ys))
     if not xs:
         return None
     x0, x1, y0, y1 = 0.5 * min(xs), 0.5 * max(xs), 0.5 * min(ys), 0.5 * max(ys)
@@ -258,59 +272,6 @@ def bichromatic_diametral_pair(
     if pair is None:
         raise ValueError("no bichromatic pair")
     return pair
-
-
-@dataclass(frozen=True)
-class Frame:
-    """Rigid motion plus optional uniform scaling, mapping input coordinates
-    to a canonical position (anchor at the origin, mate on the positive
-    x-axis).  apply followed by invert reproduces coordinates to ~1e-9."""
-
-    translation: tuple[float, float]
-    rotation: float
-    scale: float
-
-    def apply(self, p: Sequence[float]) -> Point:
-        dx = p[0] - self.translation[0]
-        dy = p[1] - self.translation[1]
-        c = math.cos(self.rotation)
-        s = math.sin(self.rotation)
-        return Point(self.scale * (c * dx + s * dy), self.scale * (-s * dx + c * dy))
-
-    def invert(self, p: Sequence[float]) -> Point:
-        x = p[0] / self.scale
-        y = p[1] / self.scale
-        c = math.cos(self.rotation)
-        s = math.sin(self.rotation)
-        return Point(
-            self.translation[0] + c * x - s * y,
-            self.translation[1] + s * x + c * y,
-        )
-
-    def apply_all(self, points: Iterable[Sequence[float]]) -> list[Point]:
-        return [self.apply(p) for p in points]
-
-
-def canonical_frame(
-    points: Sequence[Sequence[float]],
-    i: int,
-    j: int,
-    target_len: str = "unit",
-) -> tuple[Frame, list[Point]]:
-    """Frame mapping points[i] to the origin and points[j] onto the positive
-    x-axis, at distance 1 (target_len="unit") or at the original distance
-    (target_len="preserve").  Returns the frame and the transformed copy.
-    """
-    if target_len not in ("unit", "preserve"):
-        raise ValueError(f"unknown target_len {target_len!r}")
-    p, q = points[i], points[j]
-    d = dist(p, q)
-    if d == 0.0:
-        raise ValueError("coincident pair")
-    rotation = math.atan2(q[1] - p[1], q[0] - p[0])
-    scale = 1.0 / d if target_len == "unit" else 1.0
-    frame = Frame(translation=(p[0], p[1]), rotation=rotation, scale=scale)
-    return frame, frame.apply_all(points)
 
 
 def in_disk(p: Sequence[float], center: Sequence[float], r: float) -> bool:

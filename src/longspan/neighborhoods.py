@@ -7,16 +7,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .geometry import (
-    Frame,
-    Point,
-    as_points,
-    bichromatic_diametral_pair,
-    canonical_frame,
-    dist,
-)
+from .geometry import Point, as_points, bichromatic_diametral_pair, dist
 from .report import SolveReport
 from .trees import Tree, tree_length
 
@@ -126,7 +119,10 @@ class StnbParams:
     core_radius: float
 
 
-def stnb_params(delta: float = 0.524) -> StnbParams:
+DELTA_NEIGHBORHOOD = 0.524
+
+
+def stnb_params(delta: float = DELTA_NEIGHBORHOOD) -> StnbParams:
     omega = 6.0 * delta / math.sqrt(3.0) - 1.0
     return StnbParams(
         delta=delta,
@@ -135,6 +131,35 @@ def stnb_params(delta: float = 0.524) -> StnbParams:
         lens_radius=1.0,
         wide_radius=2.0 * delta,
         core_radius=delta,
+    )
+
+
+class StnbRegionLabel(NamedTuple):
+    """Region memberships of one flattened vertex, lengths in units of |ab|."""
+
+    in_L: bool
+    in_L1: bool
+    in_L2: bool
+    in_Lprime: bool
+    in_E: bool
+    in_Q: bool
+
+
+def stnb_label(da: float, db: float, params: StnbParams) -> StnbRegionLabel:
+    """Regions of the 0.524 analysis holding a vertex at distances da from a
+    and db from b, in units of |ab|: L = both <= 1, L1 = db <= 1 and
+    da <= 2*delta, L2 likewise with a and b swapped, L' = both <= delta,
+    E = focal sum <= omega + 2*delta, Q = (L1 or L2) minus E."""
+    in_L1 = db <= 1.0 and da <= params.wide_radius
+    in_L2 = da <= 1.0 and db <= params.wide_radius
+    in_E = da + db <= params.ellipse_sum
+    return StnbRegionLabel(
+        in_L=da <= 1.0 and db <= 1.0,
+        in_L1=in_L1,
+        in_L2=in_L2,
+        in_Lprime=da <= params.core_radius and db <= params.core_radius,
+        in_E=in_E,
+        in_Q=(in_L1 or in_L2) and not in_E,
     )
 
 
@@ -260,18 +285,6 @@ def solve_stnb(nbs: NeighborhoodSet) -> SolveReport:
 
 
 @dataclass(frozen=True)
-class StnbRegionLabel:
-    """Region memberships of one flattened vertex in the unit frame."""
-
-    in_L: bool
-    in_L1: bool
-    in_L2: bool
-    in_Lprime: bool
-    in_E: bool
-    in_Q: bool
-
-
-@dataclass(frozen=True)
 class StnbRegionReport:
     """Per-vertex region memberships for the 0.524 analysis.
 
@@ -283,58 +296,33 @@ class StnbRegionReport:
     params: StnbParams
     a_index: int
     b_index: int
-    frame: Frame
-    unit_points: tuple[Point, ...]
     labels: tuple[StnbRegionLabel, ...]
     m: int
     q_nonempty: bool
 
 
-def stnb_region_report(nbs: NeighborhoodSet, delta: float = 0.524) -> StnbRegionReport:
+def stnb_region_report(nbs: NeighborhoodSet, delta: float = DELTA_NEIGHBORHOOD) -> StnbRegionReport:
     """Classify every flattened vertex against the lenses L, L1, L2, L' and
-    the ellipse E after mapping the bichromatic diametral pair to the unit
-    frame a=(0,0), b=(1,0)."""
+    the ellipse E of the bichromatic diametral pair (a, b), from its
+    distances to a and b divided by |ab|."""
     a, b = bichromatic_diametral_pair(nbs.points, nbs.colors)
-    frame, unit_pts = canonical_frame(nbs.points, a, b, "unit")
+    pa, pb = nbs.points[a], nbs.points[b]
+    ab = dist(pa, pb)
+    if ab == 0.0:
+        raise ValueError("coincident pair")
     params = stnb_params(delta)
-    fa, fb = unit_pts[a], unit_pts[b]
-
-    labels = []
-    for p in unit_pts:
-        da, db = dist(p, fa), dist(p, fb)
-        in_L = da <= 1.0 and db <= 1.0
-        in_L1 = db <= 1.0 and da <= params.wide_radius
-        in_L2 = da <= 1.0 and db <= params.wide_radius
-        in_Lp = da <= params.core_radius and db <= params.core_radius
-        in_E = da + db <= params.ellipse_sum
-        labels.append(
-            StnbRegionLabel(
-                in_L=in_L,
-                in_L1=in_L1,
-                in_L2=in_L2,
-                in_Lprime=in_Lp,
-                in_E=in_E,
-                in_Q=(in_L1 or in_L2) and not in_E,
-            )
-        )
-
-    m = 0
-    for nb in nbs.neighborhoods:
-        inside = all(
-            dist(unit_pts[k], fa) < params.core_radius
-            and dist(unit_pts[k], fb) < params.core_radius
-            for k in nbs.vertex_indices(nb.color)
-        )
-        if inside:
-            m += 1
-
+    unit = [(dist(p, pa) / ab, dist(p, pb) / ab) for p in nbs.points]
+    labels = tuple(stnb_label(da, db, params) for da, db in unit)
+    m = sum(
+        all(unit[k][0] < params.core_radius and unit[k][1] < params.core_radius
+            for k in nbs.vertex_indices(nb.color))
+        for nb in nbs.neighborhoods
+    )
     return StnbRegionReport(
         params=params,
         a_index=a,
         b_index=b,
-        frame=frame,
-        unit_points=tuple(unit_pts),
-        labels=tuple(labels),
+        labels=labels,
         m=m,
         q_nonempty=any(lab.in_Q for lab in labels),
     )

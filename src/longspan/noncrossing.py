@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .geometry import Point, as_points, diametral_pair, dist, orientation, segments_cross
 from .report import SolveReport
@@ -63,8 +63,7 @@ def ncst_params(ab_len: float, delta: float = DELTA_NONCROSSING) -> NcstParams:
     )
 
 
-@dataclass(frozen=True)
-class PointLabel:
+class PointLabel(NamedTuple):
     """Region memberships of one point relative to a guess (a, b)."""
 
     in_L: bool
@@ -92,6 +91,41 @@ class RegionClassifier:
     beta_prime: float
 
 
+def ncst_label(da: float, db: float, strip: str, params: NcstParams) -> PointLabel:
+    """Regions of the guess (a, b) holding a point at distances da from a and
+    db from b, in the given strip (diameter-scaled lengths): L = both
+    distances <= 1, E1/E2 = focal sum <= lam/gamma, L' = both <= |ab|,
+    Q = L minus E1, M = L and E2 in the middle strip."""
+    in_L = da <= 1.0 and db <= 1.0
+    in_E1 = da + db <= params.lam
+    in_E2 = da + db <= params.gamma
+    return PointLabel(
+        in_L=in_L,
+        in_E1=in_E1,
+        in_E2=in_E2,
+        in_Lprime=da <= params.ab_len and db <= params.ab_len,
+        in_Q=in_L and not in_E1,
+        strip=strip,
+        in_M=in_L and in_E2 and strip == "middle",
+    )
+
+
+def _strip_split(points: Sequence[Sequence[float]], a: int, b: int) -> tuple:
+    """|ab|, the unit vector from a to b, every point's projection x onto it
+    (measured from a) and its strip: "left" for x < omega*|ab|, "right" for
+    x > (1 - omega)*|ab|, "middle" between, the strip lines included.
+    Raises ValueError when a and b coincide."""
+    pa, pb = points[a], points[b]
+    ab = dist(pa, pb)
+    if ab == 0.0:
+        raise ValueError("guess points coincide")
+    ux, uy = (pb[0] - pa[0]) / ab, (pb[1] - pa[1]) / ab
+    l1, l2 = STRIP_OMEGA * ab, (1.0 - STRIP_OMEGA) * ab
+    xs = [(p[0] - pa[0]) * ux + (p[1] - pa[1]) * uy for p in points]
+    strips = ["left" if x < l1 else ("right" if x > l2 else "middle") for x in xs]
+    return ab, (ux, uy), xs, strips
+
+
 def classify_points(
     points: Sequence[Sequence[float]], a: int, b: int, delta: float = DELTA_NONCROSSING
 ) -> RegionClassifier:
@@ -101,39 +135,18 @@ def classify_points(
     of radius 1 around a and b.  Strip membership projects onto the ab
     direction; points exactly on a strip line count as middle.
     """
-    pa, pb = points[a], points[b]
-    ab = dist(pa, pb)
-    if ab == 0.0:
-        raise ValueError("guess points coincide")
+    ab, _, _, strips = _strip_split(points, a, b)
     params = ncst_params(ab, delta)
-    ux, uy = (pb[0] - pa[0]) / ab, (pb[1] - pa[1]) / ab
-    l1, l2 = params.omega * ab, (1.0 - params.omega) * ab
-
-    labels = []
-    for p in points:
-        da, db = dist(p, pa), dist(p, pb)
-        in_L = da <= 1.0 and db <= 1.0
-        in_E1 = da + db <= params.lam
-        in_E2 = da + db <= params.gamma
-        in_Lp = da <= ab and db <= ab
-        x = (p[0] - pa[0]) * ux + (p[1] - pa[1]) * uy
-        strip = "left" if x < l1 else ("right" if x > l2 else "middle")
-        labels.append(
-            PointLabel(
-                in_L=in_L,
-                in_E1=in_E1,
-                in_E2=in_E2,
-                in_Lprime=in_Lp,
-                in_Q=in_L and not in_E1,
-                strip=strip,
-                in_M=in_L and in_E2 and strip == "middle",
-            )
-        )
+    pa, pb = points[a], points[b]
+    labels = tuple(
+        ncst_label(dist(p, pa), dist(p, pb), strip, params)
+        for p, strip in zip(points, strips)
+    )
     n = len(points)
     alpha = sum(1 for lab in labels if lab.in_L and not lab.in_E2) / n
     beta = sum(1 for lab in labels if lab.in_M) / n
     beta_prime = sum(1 for lab in labels if lab.strip == "middle") / n
-    return RegionClassifier(params, tuple(labels), alpha, beta, beta_prime)
+    return RegionClassifier(params, labels, alpha, beta, beta_prime)
 
 
 @dataclass(frozen=True)
@@ -177,37 +190,30 @@ def _anchored_tree(
     farthest visible wedge endpoint, falling back to the nearest visible
     tree vertex; an unattachable point aborts the construction.
     """
-    pa, pb = points[root], points[far]
-    ab = dist(pa, pb)
-    if ab == 0.0:
+    if root == far:
+        raise ValueError("guess endpoints must differ")
+    try:
+        _, (ux, uy), xs, strips = _strip_split(points, root, far)
+    except ValueError:  # the guess points coincide
         return NcstCandidate(None, tag, guess, False)
-    ux, uy = (pb[0] - pa[0]) / ab, (pb[1] - pa[1]) / ab
-    l1, l2 = STRIP_OMEGA * ab, (1.0 - STRIP_OMEGA) * ab
+    pa = points[root]
 
-    def xproj(p) -> float:
-        return (p[0] - pa[0]) * ux + (p[1] - pa[1]) * uy
-
-    def angle(p) -> float:
-        th = math.atan2(-(p[0] - pa[0]) * uy + (p[1] - pa[1]) * ux, xproj(p))
+    def angle(k: int) -> float:
+        p = points[k]
+        th = math.atan2(-(p[0] - pa[0]) * uy + (p[1] - pa[1]) * ux, xs[k])
         return -math.pi if th == math.pi else th
 
-    right, left, middle = [], [], []
-    for k in range(len(points)):
-        if k == root:
-            continue
-        x = xproj(points[k])
-        if x > l2:
-            right.append(k)
-        elif x < l1:
-            left.append(k)
-        else:
-            middle.append(k)
+    groups = {"left": [], "middle": [], "right": []}
+    for k, strip in enumerate(strips):
+        if k != root:
+            groups[strip].append(k)
+    left, middle, right = groups["left"], groups["middle"], groups["right"]
     if far not in right:  # cannot happen for a positive-length guess
         return NcstCandidate(None, tag, guess, False)
 
-    right.sort(key=lambda k: (angle(points[k]), dist(pa, points[k]), k))
+    right.sort(key=lambda k: (angle(k), dist(pa, points[k]), k))
     spokes = right
-    spoke_angles = [angle(points[k]) for k in spokes]
+    spoke_angles = [angle(k) for k in spokes]
     edges = [(root, k) for k in spokes]
     attached = [root] + list(spokes)
 
@@ -215,24 +221,23 @@ def _anchored_tree(
         i = bisect_right(spoke_angles, phi) - 1
         return 0 if i < 0 else i
 
-    for k in sorted(left, key=lambda k: (angle(points[k]), k)):
-        edges.append((spokes[wedge_index(angle(points[k]))], k))
+    for k in sorted(left, key=lambda k: (angle(k), k)):
+        edges.append((spokes[wedge_index(angle(k))], k))
         attached.append(k)
 
     def visible(p, w: int) -> bool:
+        # no edge joins coincident points (spokes and left-strip edges join
+        # two strips), so segments_cross never meets one of length zero
+        if tuple(points[w]) == tuple(p):
+            return False
         seg = (p, points[w])
-        for i, j in edges:
-            if dist(points[i], points[j]) == 0.0:
-                return False
-            if segments_cross(seg, (points[i], points[j])):
-                return False
-        return True
+        return not any(segments_cross(seg, (points[i], points[j])) for i, j in edges)
 
-    for k in sorted(middle, key=lambda k: (angle(points[k]), k)):
+    for k in sorted(middle, key=lambda k: (angle(k), k)):
         p = points[k]
-        i = wedge_index(angle(p))
+        i = wedge_index(angle(k))
         cands = {spokes[i], root}
-        if i + 1 < len(spokes) and angle(p) >= spoke_angles[0]:
+        if i + 1 < len(spokes) and angle(k) >= spoke_angles[0]:
             cands.add(spokes[i + 1])
         ordered = sorted(cands, key=lambda w: (-dist(p, points[w]), w))
         target = next((w for w in ordered if visible(p, w)), None)
@@ -249,15 +254,11 @@ def _anchored_tree(
 
 def build_Ta(points: Sequence[Sequence[float]], a: int, b: int) -> NcstCandidate:
     """Anchored tree for guess (a, b) rooted at a."""
-    if a == b:
-        raise ValueError("guess endpoints must differ")
     return _anchored_tree(points, a, b, "Ta", (a, b))
 
 
 def build_Tb(points: Sequence[Sequence[float]], a: int, b: int) -> NcstCandidate:
     """Mirror construction rooted at b (same sweeps, reversed axis)."""
-    if a == b:
-        raise ValueError("guess endpoints must differ")
     return _anchored_tree(points, b, a, "Tb", (a, b))
 
 
@@ -313,8 +314,7 @@ def solve_ncst(points: Sequence[Sequence[float]], prune: bool = True) -> SolveRe
             _finish_candidate(pts, _monotone_path(pts, iu, iv), "path", None)
         )
 
-    d = 1.0 / (2.0 * DELTA_NONCROSSING)
-    threshold = d * diam * (1.0 - 1e-12)
+    threshold = ncst_params(1.0).d * diam * (1.0 - 1e-12)
     num_guesses = 0
     guess_candidates: list[NcstCandidate] = []
     for i in range(n):

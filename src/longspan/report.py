@@ -17,8 +17,7 @@ class SolveReport:
     `points` holds the coordinates the tree indexes into (the input points
     for the noncrossing solver, the chosen representatives for the
     neighborhood solver).  `upper_bound` is the cheap certificate
-    (n-1) * diameter used by the ratio bookkeeping; `oracle_length` is filled
-    in when an exact reference is available.
+    (n-1) * diameter used by the ratio bookkeeping.
     """
 
     algorithm: str
@@ -29,7 +28,6 @@ class SolveReport:
     upper_bound: float | None = None
     guess: tuple[int, int] | None = None
     representatives: dict[int, int] | None = None
-    oracle_length: float | None = None
     metrics: dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -37,9 +35,3 @@ class SolveReport:
         if self.upper_bound is None or self.upper_bound == 0:
             return None
         return self.length / self.upper_bound
-
-    @property
-    def ratio_to_oracle(self) -> float | None:
-        if self.oracle_length is None or self.oracle_length == 0:
-            return None
-        return self.length / self.oracle_length

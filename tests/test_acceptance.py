@@ -7,7 +7,7 @@ lines and the recorded empirical minima.
 import math
 import random
 
-from longspan.constants import f1, lf_length
+from longspan.constants import f1, lf_length, triple_samples
 from longspan.geometry import bichromatic_diametral_pair, dist
 from longspan.instances import GenSpec, SplitMix64, generate
 from longspan.neighborhoods import (
@@ -206,25 +206,27 @@ def test_criterion_5_lemma_property_suites():
         details.append("two-star bound violated")
     details.append(f"two-star margin {two_star_worst:.4f}")
 
-    # triple-connection bound in the 0.524 parameterization
+    # triple-connection bounds on the shared sampler's stream; Q membership
+    # and the margins are written out again here, so every sample is checked
+    # independently of the sampler's own region tests
     smix = SplitMix64(51)
     p524 = stnb_params(0.524)
     worst_524 = float("inf")
     count = 0
-    while count < 5000:
-        q = (smix.uniform(-1.1, 2.1), smix.uniform(-1.1, 1.1))
+    for a, b, q, p in triple_samples(smix, "neighborhood", 5000):
         da, db = dist(q, (0, 0)), dist(q, (1, 0))
         in_l12 = (db <= 1 and da <= p524.wide_radius) or (
             da <= 1 and db <= p524.wide_radius
         )
-        if not in_l12 or da + db <= p524.ellipse_sum:
-            continue
+        if (a, b) != ((0, 0), (1, 0)) or not in_l12 or da + db <= p524.ellipse_sum:
+            ok = False
+            details.append(f"0.524 sample {q} outside Q")
+            break
         count += 1
-        p = (smix.uniform(-1.5, 2.5), smix.uniform(-1.5, 1.5))
         worst_524 = min(
             worst_524, dist(p, (0, 0)) + dist(p, (1, 0)) + dist(p, q) - 3 * 0.524
         )
-    if worst_524 <= 0:
+    if worst_524 <= 0 or count != 5000:
         ok = False
         details.append("0.524 triple bound violated")
     details.append(f"3-delta margin (0.524) {worst_524:.4f}")
@@ -232,20 +234,21 @@ def test_criterion_5_lemma_property_suites():
     # triple-connection bound in the 0.519 parameterization, ab in [d, 1]
     worst_519 = float("inf")
     count = 0
-    while count < 5000:
-        ab = smix.uniform(D_NC, 1.0)
+    for a, b, q, p in triple_samples(smix, "noncrossing", 5000):
+        ab = b[0]
         lam = ncst_params(ab).lam
         bpt = (ab, 0.0)
-        q = (smix.uniform(ab - 1.0, 1.0), smix.uniform(-1.0, 1.0))
         da, db = dist(q, (0, 0)), dist(q, bpt)
-        if da > 1.0 or db > 1.0 or da + db <= lam:
-            continue
+        in_q = da <= 1.0 and db <= 1.0 and da + db > lam
+        if (a, b) != ((0, 0), bpt) or not D_NC <= ab <= 1.0 or not in_q:
+            ok = False
+            details.append(f"0.519 sample {q} outside Q")
+            break
         count += 1
-        p = (smix.uniform(-1.5, 2.5), smix.uniform(-1.5, 1.5))
         worst_519 = min(
             worst_519, dist(p, (0, 0)) + dist(p, bpt) + dist(p, q) - 3 * 0.519
         )
-    if worst_519 <= 0:
+    if worst_519 <= 0 or count != 5000:
         ok = False
         details.append("0.519 triple bound violated")
     details.append(f"3-delta margin (0.519) {worst_519:.4f}")

@@ -11,7 +11,6 @@ from longspan.geometry import (
     RIGHT,
     as_points,
     bichromatic_diametral_pair,
-    canonical_frame,
     circle_circle_intersections,
     diametral_pair,
     dist,
@@ -54,6 +53,28 @@ def test_as_points_turns_numpy_integers_into_ints():
     wide = np.array([[0, 0], [2**32, 1], [1, 2**32]])
     assert orientation(*as_points(wide)) == LEFT
     assert all(type(c) is int for p in as_points(wide) for c in p)
+
+
+def test_as_points_turns_numpy_floats_into_floats():
+    np = pytest.importorskip("numpy")
+    # in float32 the filter's products round to the wrong sign; exact: LEFT
+    tri = np.array([[float.fromhex("0x1.6c3262p-2"), -float.fromhex("0x1.2e4e48p-1")],
+                    [float.fromhex("0x1.c38f36p-1"), float.fromhex("0x1.866f48p-2")],
+                    [float.fromhex("0x1.567dbp+0"), float.fromhex("0x1.3919a4p+0")]],
+                   dtype=np.float32)
+    pts = as_points(tri)
+    assert all(type(c) is float for p in pts for c in p)
+    assert [tuple(p) for p in pts] == [tuple(map(float, p)) for p in tri]
+    assert orientation(*pts) == orientation_reference(*pts) == LEFT
+    exact = as_points([(Fraction(1, 3), 7), (2**70 + 1, 0)])
+    assert type(exact[0].x) is Fraction and exact[1].x == 2**70 + 1
+
+
+def test_coordinates_beyond_the_double_range_are_rejected():
+    pts = [(0, 0), (10**400, 0), (1, 1)]
+    for scan in (as_points, diametral_pair, lambda p: bichromatic_diametral_pair(p, [0, 1, 0])):
+        with pytest.raises(ValueError, match="point 1 has a coordinate beyond the double range"):
+            scan(pts)
 
 
 def test_orientation_exactness_on_near_degenerate_input():
@@ -317,38 +338,6 @@ def test_bichromatic_pair_on_counterexample_instance():
     assert (i, j) == (0, 2)
     assert nbs.points[i] == (0.0, 0.0)
     assert nbs.points[j] == (2.0, 0.0)
-
-
-def test_canonical_frame_examples():
-    frame, pts = canonical_frame([(2, 2), (2, 4)], 0, 1, "unit")
-    assert pts[0] == pytest.approx((0, 0), abs=1e-12)
-    assert pts[1] == pytest.approx((1, 0), abs=1e-12)
-
-    frame, pts = canonical_frame([(0, 0), (1, 0)], 0, 1, "unit")
-    assert frame.rotation == 0.0 and frame.scale == 1.0
-    assert pts == [(0, 0), (1, 0)]
-
-    frame, pts = canonical_frame([(0, 0), (3, 4)], 0, 1, "preserve")
-    assert pts[1] == pytest.approx((5, 0), abs=1e-12)
-
-
-def test_canonical_frame_roundtrip():
-    rng = random.Random(4)
-    for _ in range(100):
-        pts = [(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(6)]
-        if dist(pts[0], pts[1]) == 0:
-            continue
-        for target in ("unit", "preserve"):
-            frame, tpts = canonical_frame(pts, 0, 1, target)
-            for orig, t in zip(pts, tpts):
-                back = frame.invert(t)
-                assert abs(back[0] - orig[0]) < 1e-9
-                assert abs(back[1] - orig[1]) < 1e-9
-
-
-def test_canonical_frame_coincident_rejected():
-    with pytest.raises(ValueError, match="coincident"):
-        canonical_frame([(1, 1), (1, 1)], 0, 1, "unit")
 
 
 def test_in_ellipse_examples():

@@ -226,6 +226,24 @@ def test_region_report_hand_checked_memberships():
     assert report.m == 1  # only the midpoint singleton sits inside L'
 
 
+def test_region_report_puts_the_diametral_pair_in_every_lens():
+    # a and b sit at distance |ab| from each other, on the boundary of L, L1
+    # and L2; a rotated, rescaled copy put one of them just outside
+    for seed in range(300):
+        spec = GenSpec(kind="random_neighborhoods", n=3 + seed % 20, seed=seed,
+                       vertices_per_nb=1 + seed % 5)
+        report = stnb_region_report(generate(spec))
+        for k in (report.a_index, report.b_index):
+            lab = report.labels[k]
+            assert lab.in_L and lab.in_L1 and lab.in_L2, (seed, k)
+
+
+def test_region_report_rejects_coincident_pair():
+    nbs = _singletons((1, 1), (1, 1))
+    with pytest.raises(ValueError, match="coincident"):
+        stnb_region_report(nbs)
+
+
 def test_region_report_m_counts_whole_neighborhoods():
     nbs = NeighborhoodSet(
         [

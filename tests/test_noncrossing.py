@@ -230,6 +230,28 @@ def test_solve_ncst_rejects_non_finite_points(bad):
         solve_ncst(pts)
 
 
+def test_solve_ncst_takes_duplicate_points():
+    # the anchored trees' fallback used to try a zero-length edge to a vertex
+    # at the point's own coordinates and raise "degenerate segment"
+    with pytest.raises(ValueError, match="no valid noncrossing candidate"):
+        solve_ncst([(2, 1), (1, 1), (1, 1), (1, 0), (1, 1)])
+    solved = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        n = rng.randrange(4, 16)
+        pts = [(rng.random(), rng.random()) for _ in range(n - 1)]
+        pts.insert(rng.randrange(n), pts[rng.randrange(n - 1)])
+        try:
+            rep = solve_ncst(pts)
+        except ValueError as exc:
+            assert "no valid noncrossing candidate" in str(exc)
+            continue
+        assert validate_spanning_tree(rep.tree, pts) is None
+        assert is_noncrossing(rep.tree, pts)[0]
+        solved += 1
+    assert solved > 0
+
+
 def test_anchored_tree_phase_edge_floors():
     # red edges reach past the far strip line, blue edges span both strips
     rng = random.Random(36)
