@@ -152,6 +152,11 @@ def segments_cross(s1: Segment | Sequence, s2: Segment | Sequence) -> bool:
     overlap of positive length does.  Symmetric in its arguments and in each
     segment's endpoint order.
 
+    Segments xy and xz that share an endpoint x (by value) take one
+    orientation: they cross exactly when y, x and z are collinear and y and
+    z lie on the same side of x, which the dominant axis of xy decides.  Any
+    other pair takes four orientations.
+
     Raises ValueError for zero-length segments.
     """
     a, b = s1
@@ -159,6 +164,17 @@ def segments_cross(s1: Segment | Sequence, s2: Segment | Sequence) -> bool:
     a, b, c, d = tuple(a), tuple(b), tuple(c), tuple(d)
     if a == b or c == d:
         raise ValueError("degenerate segment")
+    if a == c or a == d or b == c or b == d:
+        x, y = (a, b) if a == c or a == d else (b, a)
+        z = d if x == c else c
+        # Lines through x meet only at x, so only an overlap along one line
+        # crosses.  On a line with |dx| >= |dy| no two points share an x
+        # coordinate, so z, on line xy and not x, differs from x on the
+        # dominant axis of xy, and the comparisons are exact.
+        if orientation(x, y, z) != COLLINEAR:
+            return False
+        axis = 0 if abs(y[0] - x[0]) >= abs(y[1] - x[1]) else 1
+        return (y[axis] > x[axis]) == (z[axis] > x[axis])
     d1 = orientation(c, d, a)
     d2 = orientation(c, d, b)
     d3 = orientation(a, b, c)
@@ -172,21 +188,33 @@ def segments_cross(s1: Segment | Sequence, s2: Segment | Sequence) -> bool:
         lo1, hi1 = sorted((a[axis], b[axis]))
         lo2, hi2 = sorted((c[axis], d[axis]))
         return max(lo1, lo2) < min(hi1, hi2)
-    # Non-collinear lines meet at most once, so any remaining contact is an
-    # endpoint of one segment lying on the other.
-    x = None
-    if d1 == 0 and _within_box(c, d, a):
-        x = a
-    elif d2 == 0 and _within_box(c, d, b):
-        x = b
-    elif d3 == 0 and _within_box(a, b, c):
-        x = c
-    elif d4 == 0 and _within_box(a, b, d):
-        x = d
-    if x is None:
-        return False
-    shared = x in (a, b) and x in (c, d)
-    return not shared
+    # Non-collinear lines meet at most once, and no endpoint is shared, so
+    # any remaining contact is an endpoint of one segment inside the other.
+    return (
+        (d1 == 0 and _within_box(c, d, a))
+        or (d2 == 0 and _within_box(c, d, b))
+        or (d3 == 0 and _within_box(a, b, c))
+        or (d4 == 0 and _within_box(a, b, d))
+    )
+
+
+def _bounding_box(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, float, float]:
+    # (min x, max x, min y, max y) of finite coordinates.  Raises ValueError
+    # when an axis's extent or the box's diagonal overflows a double, since
+    # then a distance between two of the points can be infinite.
+    box = min(xs), max(xs), min(ys), max(ys)
+    extents = []
+    for axis, lo, hi in (("x", box[0], box[1]), ("y", box[2], box[3])):
+        try:
+            extent = float(hi - lo)
+        except OverflowError:  # an exact int or Fraction difference
+            extent = math.inf
+        if extent == math.inf:
+            raise ValueError(f"the {axis} extent of the points overflows a double")
+        extents.append(extent)
+    if math.hypot(*extents) == math.inf:
+        raise ValueError("the diagonal of the points' x and y extents overflows a double")
+    return box
 
 
 def _farthest_pair(
@@ -218,7 +246,7 @@ def _farthest_pair(
         _check_finite(zip(xs, ys))
     if not xs:
         return None
-    x0, x1, y0, y1 = 0.5 * min(xs), 0.5 * max(xs), 0.5 * min(ys), 0.5 * max(ys)
+    x0, x1, y0, y1 = (0.5 * v for v in _bounding_box(xs, ys))
     gx, gy = x0 + x1, y0 + y1
     mxy = max(abs(x0), abs(x1)) + max(abs(y0), abs(y1))  # (Mx + My) / 2
     r = [math.hypot(x - gx, y - gy) for x, y in zip(xs, ys)]
@@ -251,7 +279,9 @@ def diametral_pair(points: Sequence[Sequence[float]]) -> tuple[int, int]:
 
     Ties break to the lexicographically smallest pair.  Quadratic when all
     points lie on one circle, near-linear on spread-out input.  Raises
-    ValueError naming the first point with a NaN or infinite coordinate.
+    ValueError naming the first point with a NaN or infinite coordinate, or
+    the axis whose extent overflows a double (or the diagonal, when the
+    two extents together overflow).
     """
     if len(points) < 2:
         raise ValueError("too few points")
@@ -264,7 +294,8 @@ def bichromatic_diametral_pair(
     """Farthest pair of points carrying different colors.
 
     Same scan and tie-break as diametral_pair.  Raises ValueError when all
-    points share one color or a coordinate is NaN or infinite.
+    points share one color, a coordinate is NaN or infinite, or the
+    points' extent overflows a double.
     """
     if len(points) != len(colors):
         raise ValueError("points and colors differ in length")

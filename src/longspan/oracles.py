@@ -12,7 +12,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .geometry import as_points, bichromatic_diametral_pair, diametral_pair, dist, segments_cross
+from .geometry import (
+    _bounding_box, as_points, bichromatic_diametral_pair, diametral_pair, dist, segments_cross,
+)
 from .neighborhoods import NeighborhoodSet, StnbSolution
 from .report import SolveReport
 from .trees import Tree, _prim, tree_length
@@ -28,7 +30,8 @@ def exact_ncst(
     optimistic bound (current length plus the longest still-available edges)
     cuts hopeless branches; the bound carries a small relative slack so
     pruned and unpruned runs return identical trees at any coordinate scale.
-    Ties break to the lexicographically smallest edge list.
+    Ties break to the lexicographically smallest edge list.  Input whose
+    extent overflows a double is rejected, as by diametral_pair.
     """
     n = len(points)
     if n < 2:
@@ -36,6 +39,7 @@ def exact_ncst(
     if n > max_n:
         raise ValueError("instance too large for oracle")
     pts = as_points(points)
+    _bounding_box([p.x for p in pts], [p.y for p in pts])
 
     edges = []
     for i in range(n):

@@ -82,15 +82,22 @@ def is_noncrossing(
 
     Returns (True, None) or (False, first crossing edge pair).  Edges that
     share an endpoint index still get tested: collinear overlaps through a
-    shared vertex count as crossings.  Zero-length edges raise ValueError.
+    shared vertex count as crossings.  A pair whose closed bounding boxes
+    are disjoint cannot meet and is skipped; the comparisons are exact, so
+    the first crossing pair is the full scan's.  A tree with two or more
+    edges and a zero-length one raises ValueError before any pair is tested.
     """
     edges = tree.edges
-    for k in range(len(edges)):
-        i, j = edges[k]
-        s1 = (points[i], points[j])
-        for m in range(k + 1, len(edges)):
-            p, q = edges[m]
-            if segments_cross(s1, (points[p], points[q])):
+    prepared = []
+    for i, j in edges:
+        p, q = tuple(points[i]), tuple(points[j])
+        if p == q and len(edges) > 1:
+            raise ValueError(f"zero-length edge ({i}, {j})")
+        prepared.append(((p, q), min(p[0], q[0]), max(p[0], q[0]), min(p[1], q[1]), max(p[1], q[1])))
+    for k, (s1, x0, x1, y0, y1) in enumerate(prepared):
+        for m in range(k + 1, len(prepared)):
+            s2, u0, u1, v0, v1 = prepared[m]
+            if u0 <= x1 and x0 <= u1 and v0 <= y1 and y0 <= v1 and segments_cross(s1, s2):
                 return False, (edges[k], edges[m])
     return True, None
 

@@ -105,24 +105,24 @@ def segments_cross_reference(s1, s2) -> bool:
     return interior
 
 
+def first_crossing_reference(edges, pts):
+    """The first edge pair (k < m in list order) that crosses by
+    segments_cross_reference, testing every pair; None when none does."""
+    for k in range(len(edges)):
+        i, j = edges[k]
+        for m in range(k + 1, len(edges)):
+            p, q = edges[m]
+            if segments_cross_reference((pts[i], pts[j]), (pts[p], pts[q])):
+                return edges[k], edges[m]
+    return None
+
+
 def max_noncrossing_tree_bruteforce(pts) -> float:
     """Optimal noncrossing spanning tree length by full labeled-tree
     enumeration (exponential; n <= 7 or so)."""
     best = -1.0
     for edges in all_labeled_trees(len(pts)):
-        ok = True
-        for k in range(len(edges)):
-            i, j = edges[k]
-            for m in range(k + 1, len(edges)):
-                p, q = edges[m]
-                if segments_cross_reference(
-                    (pts[i], pts[j]), (pts[p], pts[q])
-                ):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if first_crossing_reference(edges, pts) is None:
             best = max(best, edge_length_sum(edges, pts))
     return best
 

@@ -20,6 +20,9 @@ from longspan.geometry import (
     segments_cross,
 )
 from longspan.instances import GenSpec, generate
+from longspan.neighborhoods import Neighborhood, NeighborhoodSet, solve_stnb
+from longspan.noncrossing import solve_ncst
+from longspan.oracles import exact_ncst
 
 from helpers import farthest_pair_reference, orientation_reference, segments_cross_reference
 
@@ -75,6 +78,26 @@ def test_coordinates_beyond_the_double_range_are_rejected():
     for scan in (as_points, diametral_pair, lambda p: bichromatic_diametral_pair(p, [0, 1, 0])):
         with pytest.raises(ValueError, match="point 1 has a coordinate beyond the double range"):
             scan(pts)
+
+
+def test_finite_input_whose_extent_overflows_is_rejected():
+    # |x extent| = 2e308: every solver used to report infinite lengths
+    pts = [(-1e308, 0), (1e308, 0), (0, 1), (0, -1), (5e307, 3)]
+    nbs = NeighborhoodSet([Neighborhood(k, ((p,),)) for k, p in enumerate(pts)])
+    for solve in (solve_ncst, exact_ncst, diametral_pair, lambda _: solve_stnb(nbs)):
+        with pytest.raises(ValueError, match="the x extent of the points overflows a double"):
+            solve(pts)
+    with pytest.raises(ValueError, match="the y extent"):
+        bichromatic_diametral_pair([(0, -10**308), (0, 10**308)], [0, 1])
+    with pytest.raises(ValueError, match="diagonal"):
+        diametral_pair([(0, 0), (1.5e308, 1.5e308)])
+    assert diametral_pair([(0, 0), (1.2e308, 0), (0, 1.2e308)]) == (1, 2)
+    # just inside the limit, distances up to 1.7e308 are still scanned
+    rng = random.Random(3)
+    for _ in range(20):
+        pts = [(rng.uniform(-0.6, 0.6) * 1e308, rng.uniform(-0.6, 0.6) * 1e308)
+               for _ in range(rng.randrange(2, 30))]
+        assert diametral_pair(pts) == farthest_pair_reference(pts, range(len(pts)))
 
 
 def test_orientation_exactness_on_near_degenerate_input():
@@ -191,6 +214,24 @@ def test_segments_cross_symmetry_properties():
         assert v == segments_cross_reference(s1, s2)
 
 
+@pytest.mark.parametrize("scale", [1.0, 2.0**-540, 2.0**500], ids=["1", "2^-540", "2^500"])
+def test_segments_cross_matches_reference_on_lattice_pairs(scale):
+    # every pair of segments between points of a 3x3 lattice, the same
+    # segment and shared endpoints included, in every endpoint and argument
+    # order; at 2^-540 every orientation product underflows
+    pts = [(x * scale, y * scale) for x in range(3) for y in range(3)]
+    segs = [(p, q) for k, p in enumerate(pts) for q in pts[k + 1:]]
+    verdicts = set()
+    for k, (a, b) in enumerate(segs):
+        for c, d in segs[k:]:
+            want = segments_cross_reference((a, b), (c, d))
+            verdicts.add(want)
+            for s1 in ((a, b), (b, a)):
+                for s2 in ((c, d), (d, c)):
+                    assert segments_cross(s1, s2) == segments_cross(s2, s1) == want, (s1, s2)
+    assert verdicts == {True, False}
+
+
 LATTICE_4X4 = [(x, y) for y in range(4) for x in range(4)]
 HEXAGON = [(math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)) for k in range(6)]
 
@@ -240,7 +281,8 @@ def _farthest_pair_cases(rng):
         yield [(0.5 + 0.5 * math.cos(t), 0.5 + 0.5 * math.sin(t)) for t in angles]
         # two clusters 1e-15 across: near-ties everywhere
         yield [(rng.randrange(2) + 1e-15 * rng.random(), 1e-15 * rng.random()) for _ in range(n)]
-        # near the largest double: distances and radii overflow
+        # near the largest double: distances and radii may overflow, and
+        # then the scans reject the input
         yield [(rng.choice((-1, 1)) * rng.uniform(0.5, 1) * 1.7e308,
                 rng.choice((-1, 1)) * rng.uniform(0.5, 1) * 1.7e308) for _ in range(n)]
         # multiples of the smallest subnormal: hypot rounds to 2^-1074
@@ -262,8 +304,15 @@ def test_farthest_pair_scans_match_reference():
     rng = random.Random(20201007)
     for pts in _farthest_pair_cases(rng):
         n = len(pts)
-        assert diametral_pair(pts) == farthest_pair_reference(pts, range(n))
         colors = [rng.randrange(rng.randrange(1, 4)) for _ in range(n)]
+        xs, ys = [float(p[0]) for p in pts], [float(p[1]) for p in pts]
+        if math.hypot(max(xs) - min(xs), max(ys) - min(ys)) == math.inf:
+            # a distance between two of the points may be infinite
+            for scan in (diametral_pair, lambda p: bichromatic_diametral_pair(p, colors)):
+                with pytest.raises(ValueError, match="overflows a double"):
+                    scan(pts)
+            continue
+        assert diametral_pair(pts) == farthest_pair_reference(pts, range(n))
         expected = farthest_pair_reference(pts, colors)
         if expected is None:
             with pytest.raises(ValueError, match="no bichromatic pair"):

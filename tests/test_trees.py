@@ -17,7 +17,9 @@ from longspan.trees import (
     validate_spanning_tree,
 )
 
-from helpers import all_labeled_trees, edge_length_sum, fermat_grid_oracle
+from helpers import (
+    all_labeled_trees, edge_length_sum, fermat_grid_oracle, first_crossing_reference, prufer_decode,
+)
 
 
 def test_tree_length_examples():
@@ -61,6 +63,30 @@ def test_is_noncrossing_catches_collinear_star_overlap():
     assert not ok  # edges (0,1) and (0,2) overlap along the x-axis
     ok, _ = is_noncrossing(Tree(3, ((0, 1), (1, 2))), pts)
     assert ok
+
+
+def test_is_noncrossing_rejects_zero_length_edges_up_front():
+    # the scan used to stop at the crossing pair before reaching (4, 4)
+    pts = [(0, 0), (2, 2), (0, 2), (2, 0), (5, 5)]
+    for edges in (((0, 1), (2, 3), (4, 4)), ((0, 4), (1, 2), (4, 4))):
+        with pytest.raises(ValueError, match=r"zero-length edge \(4, 4\)"):
+            is_noncrossing(Tree(5, edges), pts)
+
+
+def test_is_noncrossing_matches_brute_reference_scan():
+    trees = [star(LATTICE_4X4, c) for c in range(16)]
+    rng = random.Random(6)
+    for _ in range(60):
+        k = rng.randint(3, 9)
+        seq = tuple(rng.randrange(k) for _ in range(k - 2))
+        trees.append(Tree(k, tuple(prufer_decode(seq, k))))
+    verdicts = set()
+    for tree in trees:
+        pts = rng.sample(LATTICE_4X4, tree.n) if tree.n < 16 else LATTICE_4X4
+        pair = first_crossing_reference(tree.edges, pts)
+        verdicts.add(pair is None)
+        assert is_noncrossing(tree, pts) == (pair is None, pair)
+    assert verdicts == {True, False}
 
 
 def test_min_spanning_tree_examples():
