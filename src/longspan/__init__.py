@@ -57,7 +57,6 @@ from .noncrossing import (
     build_Ta,
     build_Tb,
     classify_points,
-    lemma_diagnostics,
     ncst_params,
     solve_ncst,
 )
@@ -75,6 +74,6 @@ from .instances import (
     write_tree,
 )
 from .report import SolveReport
-from .svg import render_solution, render_svg
+from .svg import render_svg
 
 __version__ = "0.1.0"

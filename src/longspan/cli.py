@@ -29,7 +29,7 @@ from .neighborhoods import DELTA_NEIGHBORHOOD, solve_stnb, stnb_params
 from .noncrossing import DELTA_NONCROSSING, ncst_params, solve_ncst
 from .oracles import exact_ncst, exact_stnb, oracle_ratio
 from .report import SolveReport
-from .svg import render_solution
+from .svg import render_svg
 from .trees import is_noncrossing, tree_length, validate_spanning_tree
 
 
@@ -38,10 +38,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         sys.exit(1)
-
-
-class InstanceError(Exception):
-    pass
 
 
 def _build_parser() -> _Parser:
@@ -105,10 +101,7 @@ def _cmd_gen(args) -> int:
         epsilon=args.epsilon,
         vertices_per_nb=args.vertices_per_nb,
     )
-    try:
-        inst = generate(spec)
-    except ValueError as exc:
-        raise InstanceError(str(exc)) from None
+    inst = generate(spec)
     if isinstance(inst, NeighborhoodSet):
         write_neighborhoods(args.out, inst)
     else:
@@ -158,13 +151,11 @@ def _write_solver_outputs(args, report: SolveReport, nbs=None) -> None:
                     "ellipse_sums": [params.lam * diam, params.gamma * diam],
                 }
         with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(render_solution(report.points, report.tree, nbs=nbs, regions=regions))
+            fh.write(render_svg(report.points, report.tree.edges, nbs=nbs, regions=regions))
 
 
 def _cmd_ncst(args) -> int:
     points = read_points(args.points)
-    if len(points) < 2:
-        raise InstanceError("need at least two points")
     report = solve_ncst(points, prune=not args.no_prune)
     _write_solver_outputs(args, report)
     return 0
@@ -180,10 +171,7 @@ def _cmd_stnb(args) -> int:
 def _cmd_oracle(args) -> int:
     if args.problem == "ncst":
         points = read_points(args.infile)
-        try:
-            tree = exact_ncst(points, max_n=args.max_n)
-        except ValueError as exc:
-            raise InstanceError(str(exc)) from None
+        tree = exact_ncst(points, max_n=args.max_n)
         report = SolveReport(
             algorithm="oracle-ncst",
             candidate="oracle",
@@ -193,10 +181,7 @@ def _cmd_oracle(args) -> int:
         )
     else:
         nbs = read_neighborhoods(args.infile)
-        try:
-            sol = exact_stnb(nbs, max_assignments=args.max_assignments)
-        except ValueError as exc:
-            raise InstanceError(str(exc)) from None
+        sol = exact_stnb(nbs, max_assignments=args.max_assignments)
         report = SolveReport(
             algorithm="oracle-stnb",
             candidate="oracle",
@@ -265,7 +250,7 @@ def _cmd_check(args) -> int:
     if problems:
         for msg in problems:
             print(f"FAIL: {msg}")
-        raise InstanceError("; ".join(problems))
+        raise ValueError("; ".join(problems))
     print("ok")
     return 0
 
@@ -274,7 +259,7 @@ def _cmd_ratio(args) -> int:
     approx = read_tree(args.approx)
     oracle = read_tree(args.oracle)
     if oracle.length <= 0:
-        raise InstanceError("oracle tree has nonpositive length")
+        raise ValueError("oracle tree has nonpositive length")
     print(f"{approx.length / oracle.length:.6f}")
     return 0
 
@@ -366,9 +351,6 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except InstanceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -217,6 +217,14 @@ def _bounding_box(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, floa
     return box
 
 
+def _check_length_bound(edges: int, longest: float) -> None:
+    # Raises ValueError unless any `edges` lengths of at most `longest` add
+    # up to a finite double: adding them one by one rounds up by at most
+    # about (edges - 1) * 2^-53 relative, and the slack is over twice that.
+    if edges * longest * (1.0 + edges * 2.0**-52) == math.inf:
+        raise ValueError(f"the tree length bound {edges} * {longest!r} overflows a double")
+
+
 def _farthest_pair(
     points: Sequence[Sequence[float]], colors: Sequence[int]
 ) -> tuple[int, int] | None:
@@ -227,9 +235,10 @@ def _farthest_pair(
     # the dist L of some pair of two colors has r_i + R >= L and
     # r_j + R >= L, up to rounding.  A coordinate difference, in dist or
     # against g, is off by at most 2^-51 times the largest magnitude M of a
-    # coordinate on its axis: ints, Fractions and numpy integers are rounded
-    # to doubles before they meet the float g, and the subtraction rounds
-    # (narrower floats, such as numpy float32, round more: not covered).
+    # coordinate on its axis: ints and Fractions are rounded to doubles
+    # before they meet the float g, and the subtraction rounds.  Other
+    # scalars, such as numpy's, are first converted as by as_points: int64
+    # differences would wrap and float32 ones round in single precision.
     # Hypot and the sum add relative errors of a few 2^-53 and, for
     # subnormal results, 2^-1074 per hypot.  The slack, 2^-40 relative,
     # 2^-45 (Mx + My) and 2^-1060 absolute, covers that many times over.  A
@@ -238,6 +247,9 @@ def _farthest_pair(
     # points are kept.
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
+    if not set(map(type, xs + ys)) <= {float, int}:
+        xs, ys = list(map(_scalar, xs)), list(map(_scalar, ys))
+        points = list(zip(xs, ys))
     try:
         finite = all(map(math.isfinite, xs + ys))
     except OverflowError:

@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .geometry import Point, as_points, bichromatic_diametral_pair, dist
+from .geometry import Point, _check_length_bound, as_points, bichromatic_diametral_pair, dist
 from .report import SolveReport
 from .trees import Tree, tree_length
 
@@ -101,6 +101,16 @@ class StnbSolution:
         return [
             nbs.points[self.representatives[nb.color]] for nb in nbs.neighborhoods
         ]
+
+
+def _stnb_solution(
+    nbs: NeighborhoodSet, reps: dict[int, int], edges: Sequence[tuple[int, int]],
+    candidate: str,
+) -> StnbSolution:
+    # the solution whose tree joins the neighborhoods' positions by `edges`
+    tree = Tree(nbs.n, tuple(edges))
+    points = [nbs.points[reps[nb.color]] for nb in nbs.neighborhoods]
+    return StnbSolution(reps, tree, candidate, tree_length(tree, points))
 
 
 @dataclass(frozen=True)
@@ -204,10 +214,7 @@ def build_double_star(nbs: NeighborhoodSet, a: int, b: int) -> StnbSolution:
         else:
             reps[nb.color] = q_i
             edges.append((kb, k))
-    tree = Tree(nbs.n, tuple(edges))
-    sol = StnbSolution(reps, tree, "D", 0.0)
-    length = tree_length(tree, sol.representative_points(nbs))
-    return StnbSolution(reps, tree, "D", length)
+    return _stnb_solution(nbs, reps, edges, "D")
 
 
 def longest_spanning_star_nb(
@@ -225,10 +232,7 @@ def longest_spanning_star_nb(
             continue
         reps[nb.color] = farthest_vertex_in(nbs, nb.color, pc)
         edges.append((kc, k))
-    tree = Tree(nbs.n, tuple(edges))
-    sol = StnbSolution(reps, tree, candidate, 0.0)
-    length = tree_length(tree, sol.representative_points(nbs))
-    return StnbSolution(reps, tree, candidate, length)
+    return _stnb_solution(nbs, reps, edges, candidate)
 
 
 def solve_stnb(nbs: NeighborhoodSet) -> SolveReport:
@@ -240,10 +244,12 @@ def solve_stnb(nbs: NeighborhoodSet) -> SolveReport:
     D, then reports the longest; ties keep the earliest candidate in the
     order S1, S2, S3, D.  Linear after the diametral pair, whose scan is
     near-linear on spread-out vertices and O(N^2) when all lie on a circle.
+    Raises ValueError when (n - 1) * |ab| overflows a double.
     """
     a, b = bichromatic_diametral_pair(nbs.points, nbs.colors)
     pa, pb = nbs.points[a], nbs.points[b]
     ab = dist(pa, pb)
+    _check_length_bound(nbs.n - 1, ab)
 
     a_prime = farthest_vertex_in(nbs, nbs.color_of(a), pa)
     b_prime = farthest_vertex_in(nbs, nbs.color_of(b), pb)

@@ -15,11 +15,14 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple, Sequence
 
-from .geometry import Point, as_points, diametral_pair, dist, orientation, segments_cross
+from .geometry import (
+    _check_length_bound, as_points, diametral_pair, dist, orientation, segments_cross,
+)
 from .report import SolveReport
-from .trees import Tree, is_noncrossing, tree_length, validate_spanning_tree
+from .trees import Tree, is_noncrossing, star, tree_length, validate_spanning_tree
 
 DELTA_NONCROSSING = 0.519
 STRIP_OMEGA = 0.16
@@ -164,12 +167,11 @@ class NcstCandidate:
 
 def _finish_candidate(
     points: Sequence[Sequence[float]],
-    edges: list[tuple[int, int]],
+    tree: Tree,
     tag: str,
     guess: tuple[int, int] | None,
     center: int | None = None,
 ) -> NcstCandidate:
-    tree = Tree(len(points), tuple(edges))
     if any(dist(points[i], points[j]) == 0.0 for i, j in tree.edges):
         return NcstCandidate(tree, tag, guess, False, center)
     ok = validate_spanning_tree(tree, points) is None and is_noncrossing(tree, points)[0]
@@ -197,11 +199,11 @@ def _anchored_tree(
     except ValueError:  # the guess points coincide
         return NcstCandidate(None, tag, guess, False)
     pa = points[root]
-
-    def angle(k: int) -> float:
-        p = points[k]
-        th = math.atan2(-(p[0] - pa[0]) * uy + (p[1] - pa[1]) * ux, xs[k])
-        return -math.pi if th == math.pi else th
+    # every point's angle about the root from the direction of far, in [-pi, pi)
+    theta = [
+        math.atan2(-(p[0] - pa[0]) * uy + (p[1] - pa[1]) * ux, x) for p, x in zip(points, xs)
+    ]
+    theta = [-math.pi if th == math.pi else th for th in theta]
 
     groups = {"left": [], "middle": [], "right": []}
     for k, strip in enumerate(strips):
@@ -211,9 +213,9 @@ def _anchored_tree(
     if far not in right:  # cannot happen for a positive-length guess
         return NcstCandidate(None, tag, guess, False)
 
-    right.sort(key=lambda k: (angle(k), dist(pa, points[k]), k))
+    right.sort(key=lambda k: (theta[k], dist(pa, points[k]), k))
     spokes = right
-    spoke_angles = [angle(k) for k in spokes]
+    spoke_angles = [theta[k] for k in spokes]
     edges = [(root, k) for k in spokes]
     attached = [root] + list(spokes)
 
@@ -221,8 +223,8 @@ def _anchored_tree(
         i = bisect_right(spoke_angles, phi) - 1
         return 0 if i < 0 else i
 
-    for k in sorted(left, key=lambda k: (angle(k), k)):
-        edges.append((spokes[wedge_index(angle(k))], k))
+    for k in sorted(left, key=lambda k: (theta[k], k)):
+        edges.append((spokes[wedge_index(theta[k])], k))
         attached.append(k)
 
     def visible(p, w: int) -> bool:
@@ -233,11 +235,11 @@ def _anchored_tree(
         seg = (p, points[w])
         return not any(segments_cross(seg, (points[i], points[j])) for i, j in edges)
 
-    for k in sorted(middle, key=lambda k: (angle(k), k)):
+    for k in sorted(middle, key=lambda k: (theta[k], k)):
         p = points[k]
-        i = wedge_index(angle(k))
+        i = wedge_index(theta[k])
         cands = {spokes[i], root}
-        if i + 1 < len(spokes) and angle(k) >= spoke_angles[0]:
+        if i + 1 < len(spokes) and theta[k] >= spoke_angles[0]:
             cands.add(spokes[i + 1])
         ordered = sorted(cands, key=lambda w: (-dist(p, points[w]), w))
         target = next((w for w in ordered if visible(p, w)), None)
@@ -249,7 +251,7 @@ def _anchored_tree(
         edges.append((target, k))
         attached.append(k)
 
-    return _finish_candidate(points, edges, tag, guess)
+    return _finish_candidate(points, Tree(len(points), tuple(edges)), tag, guess)
 
 
 def build_Ta(points: Sequence[Sequence[float]], a: int, b: int) -> NcstCandidate:
@@ -276,14 +278,14 @@ def _all_collinear(points: Sequence[Sequence[float]]) -> bool:
     )
 
 
-def _monotone_path(points: Sequence[Sequence[float]], iu: int, iv: int) -> list[tuple[int, int]]:
+def _monotone_path(points: Sequence[Sequence[float]], iu: int, iv: int) -> Tree:
     pu, pv = points[iu], points[iv]
     ux, uy = pv[0] - pu[0], pv[1] - pu[1]
     order = sorted(
         range(len(points)),
         key=lambda k: ((points[k][0] - pu[0]) * ux + (points[k][1] - pu[1]) * uy, k),
     )
-    return [(order[t], order[t + 1]) for t in range(len(order) - 1)]
+    return Tree(len(points), tuple((order[t], order[t + 1]) for t in range(len(order) - 1)))
 
 
 def solve_ncst(points: Sequence[Sequence[float]], prune: bool = True) -> SolveReport:
@@ -294,7 +296,8 @@ def solve_ncst(points: Sequence[Sequence[float]], prune: bool = True) -> SolveRe
     path substitutes), then T_a and T_b for every guess pair.  With pruning
     on, guesses shorter than d * diameter are skipped: the stars already
     cover them.  Ties keep the earliest candidate in the order stars (by
-    center), path, T_a then T_b (by lexicographic guess).
+    center), path, every T_a, then every T_b (each by lexicographic guess).
+    Raises ValueError when (n - 1) * diameter overflows a double.
     """
     n = len(points)
     if n < 2:
@@ -304,39 +307,31 @@ def solve_ncst(points: Sequence[Sequence[float]], prune: bool = True) -> SolveRe
     diam = dist(pts[iu], pts[iv])
     if diam == 0.0:
         raise ValueError("all points coincide")
-
-    candidates: list[NcstCandidate] = []
-    for c in range(n):
-        edges = [(c, k) for k in range(n) if k != c]
-        candidates.append(_finish_candidate(pts, edges, "star", None, center=c))
-    if _all_collinear(pts):
-        candidates.append(
-            _finish_candidate(pts, _monotone_path(pts, iu, iv), "path", None)
-        )
+    _check_length_bound(n - 1, diam)
 
     threshold = ncst_params(1.0).d * diam * (1.0 - 1e-12)
-    num_guesses = 0
-    guess_candidates: list[NcstCandidate] = []
+    guesses = []
     for i in range(n):
         for j in range(i + 1, n):
             ab = dist(pts[i], pts[j])
-            if ab == 0.0 or (prune and ab < threshold):
-                continue
-            num_guesses += 1
-            guess_candidates.append(build_Ta(pts, i, j))
-            guess_candidates.append(build_Tb(pts, i, j))
-    tag_rank = {"Ta": 0, "Tb": 1}
-    guess_candidates.sort(key=lambda c: (tag_rank[c.tag], c.guess))
-    candidates.extend(guess_candidates)
-
+            if ab != 0.0 and not (prune and ab < threshold):
+                guesses.append((i, j))
+    path = []
+    if _all_collinear(pts):
+        path.append(_finish_candidate(pts, _monotone_path(pts, iu, iv), "path", None))
+    candidates = chain(
+        (_finish_candidate(pts, star(pts, c), "star", None, center=c) for c in range(n)),
+        path,
+        (build_Ta(pts, i, j) for i, j in guesses),
+        (build_Tb(pts, i, j) for i, j in guesses),
+    )
     winner = None
     winner_len = -1.0
-    for cand in candidates:
-        if not cand.noncrossing or cand.tree is None:
-            continue
-        length = tree_length(cand.tree, pts)
-        if length > winner_len:
-            winner, winner_len = cand, length
+    for cand in candidates:  # in tie order: only a strictly longer tree wins
+        if cand.noncrossing:
+            length = tree_length(cand.tree, pts)
+            if length > winner_len:
+                winner, winner_len = cand, length
     if winner is None:
         raise ValueError("no valid noncrossing candidate (degenerate input)")
 
@@ -344,7 +339,7 @@ def solve_ncst(points: Sequence[Sequence[float]], prune: bool = True) -> SolveRe
     metrics = {
         "diameter": diam,
         "diametral_pair": [iu, iv],
-        "guesses_tried": num_guesses,
+        "guesses_tried": len(guesses),
         "pruned": prune,
         "ratio_to_upper": winner_len / upper,
     }
@@ -359,86 +354,4 @@ def solve_ncst(points: Sequence[Sequence[float]], prune: bool = True) -> SolveRe
         upper_bound=upper,
         guess=winner.guess,
         metrics=metrics,
-    )
-
-
-@dataclass(frozen=True)
-class LemmaDiagnostics:
-    """Worst-case margins of the per-guess analysis inequalities on one
-    instance: distances from Q-points to the guess endpoints against
-    lam - 1, triple connection costs against 3*delta, and middle-region edge
-    lengths against the f1(d) cap.  All margins must stay positive."""
-
-    q_margins: tuple[float, ...]
-    steiner_margins: tuple[float, ...]
-    edge_cap_margins: tuple[float, ...]
-    worst_q: float | None
-    worst_steiner: float | None
-    worst_edge_cap: float | None
-
-
-def lemma_diagnostics(
-    points: Sequence[Sequence[float]],
-    a: int,
-    b: int,
-    delta: float = DELTA_NONCROSSING,
-    samples: int = 200,
-    seed: int = 0,
-) -> LemmaDiagnostics:
-    """Evaluate the analysis inequalities for the guess (a, b) on
-    diameter-scaled coordinates.
-
-    For every input point q in Q: min(|aq|, |bq|) - (lam - 1) and, for
-    sampled probe points p, |pa| + |pb| + |pq| - 3*delta.  For every input
-    point q' in M and every input p reachable without crossing ab:
-    f1(d) - |q'p|.  Returns all margins plus the worst of each family.
-    """
-    from .constants import f1  # local import: constants builds on ncst_params
-    from .instances import SplitMix64
-
-    pts = [Point(p[0], p[1]) for p in points]
-    pa, pb = pts[a], pts[b]
-    cls = classify_points(pts, a, b, delta)
-    params = cls.params
-
-    q_points = [pts[k] for k in range(len(pts)) if cls.labels[k].in_Q]
-    q_margins = [
-        min(dist(q, pa), dist(q, pb)) - (params.lam - 1.0) for q in q_points
-    ]
-
-    rng = SplitMix64(seed)
-    steiner_margins = []
-    for q in q_points:
-        for _ in range(samples):
-            p = (rng.uniform(-1.5, 2.5), rng.uniform(-2.0, 2.0))
-            steiner_margins.append(
-                dist(p, pa) + dist(p, pb) + dist(p, q) - 3.0 * delta
-            )
-
-    edge_cap_margins = []
-    if params.ab_len >= params.d - 1e-9:
-        cap = f1(params.d, delta)
-        for k in range(len(pts)):
-            if not cls.labels[k].in_M:
-                continue
-            q = pts[k]
-            for m in range(len(pts)):
-                p = pts[m]
-                if tuple(p) == tuple(q):
-                    continue
-                if tuple(p) not in (tuple(pa), tuple(pb)) and tuple(q) not in (
-                    tuple(pa),
-                    tuple(pb),
-                ):
-                    if segments_cross((q, p), (pa, pb)):
-                        continue
-                edge_cap_margins.append(cap - dist(q, p))
-
-    return LemmaDiagnostics(
-        q_margins=tuple(q_margins),
-        steiner_margins=tuple(steiner_margins),
-        edge_cap_margins=tuple(edge_cap_margins),
-        worst_q=min(q_margins, default=None),
-        worst_steiner=min(steiner_margins, default=None),
-        worst_edge_cap=min(edge_cap_margins, default=None),
     )

@@ -12,10 +12,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .geometry import (
-    _bounding_box, as_points, bichromatic_diametral_pair, diametral_pair, dist, segments_cross,
-)
-from .neighborhoods import NeighborhoodSet, StnbSolution
+from .geometry import _bounding_box, _check_length_bound, as_points, dist, segments_cross
+from .neighborhoods import NeighborhoodSet, StnbSolution, _stnb_solution
 from .report import SolveReport
 from .trees import Tree, _prim, tree_length
 
@@ -31,7 +29,8 @@ def exact_ncst(
     cuts hopeless branches; the bound carries a small relative slack so
     pruned and unpruned runs return identical trees at any coordinate scale.
     Ties break to the lexicographically smallest edge list.  Input whose
-    extent overflows a double is rejected, as by diametral_pair.
+    extent overflows a double is rejected, as by diametral_pair, and so is
+    input where (n - 1) times the longest distance overflows.
     """
     n = len(points)
     if n < 2:
@@ -48,6 +47,8 @@ def exact_ncst(
             if d > 0.0:
                 edges.append((d, i, j))
     edges.sort(key=lambda e: (-e[0], e[1], e[2]))
+    if edges:
+        _check_length_bound(n - 1, edges[0][0])
     m = len(edges)
     lengths = [e[0] for e in edges]
     prefix = [0.0]
@@ -131,23 +132,18 @@ def exact_stnb(nbs: NeighborhoodSet, max_assignments: int = 10**6) -> StnbSoluti
         if length > best_len:
             best_len, best_assign, best_parent = length, assign, parent
 
-    rep_points = [npts[v] for v in best_assign]
-    k = len(best_assign)
-    tree = Tree(k, tuple((best_parent[t], t) for t in range(1, k)))
     reps = {nb.color: v for nb, v in zip(nbs.neighborhoods, best_assign)}
-    return StnbSolution(reps, tree, "oracle", tree_length(tree, rep_points))
+    return _stnb_solution(nbs, reps, [(best_parent[t], t) for t in range(1, nbs.n)], "oracle")
 
 
 @dataclass(frozen=True)
 class RatioRecord:
-    """Approximation quality of one solution against the exact oracle and
-    against the cheap certificate (n-1) * diameter."""
+    """Approximation quality of one solution against the exact oracle; the
+    cheap certificate (n-1) * diameter is the solution's own upper_bound."""
 
     approx_length: float
     oracle_length: float
     ratio: float
-    upper_bound: float
-    upper_ratio: float
 
 
 def oracle_ratio(
@@ -160,30 +156,22 @@ def oracle_ratio(
     """Score an approximate solution against the matching exact oracle.
 
     Runs the oracle itself when oracle_length is not supplied.  Raises
-    ValueError when the solution does not fit the instance.
+    ValueError when the solution does not fit the instance or a point has a
+    NaN or infinite coordinate.
     """
     if isinstance(instance, NeighborhoodSet):
         if approx.tree.n != instance.n:
             raise ValueError("solution does not match instance")
         if oracle_length is None:
             oracle_length = exact_stnb(instance, max_assignments).length
-        a, b = bichromatic_diametral_pair(instance.points, instance.colors)
-        diam = dist(instance.points[a], instance.points[b])
-        n = instance.n
     else:
         if approx.tree.n != len(instance):
             raise ValueError("solution does not match instance")
+        pts = as_points(instance)
         if oracle_length is None:
-            oracle_tree = exact_ncst(instance, max_n)
-            oracle_length = tree_length(oracle_tree, instance)
-        iu, iv = diametral_pair(instance)
-        diam = dist(instance[iu], instance[iv])
-        n = len(instance)
-    upper = (n - 1) * diam
+            oracle_length = tree_length(exact_ncst(pts, max_n), pts)
     return RatioRecord(
         approx_length=approx.length,
         oracle_length=oracle_length,
         ratio=approx.length / oracle_length if oracle_length > 0 else float("inf"),
-        upper_bound=upper,
-        upper_ratio=approx.length / upper if upper > 0 else float("inf"),
     )

@@ -7,7 +7,6 @@ from typing import Sequence
 
 from .geometry import dist
 from .neighborhoods import NeighborhoodSet
-from .trees import Tree
 
 _PALETTE = (
     "#c0392b", "#27ae60", "#2980b9", "#8e44ad", "#d35400",
@@ -130,12 +129,3 @@ def render_svg(
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def render_solution(
-    points: Sequence[Sequence[float]],
-    tree: Tree,
-    nbs: NeighborhoodSet | None = None,
-    regions: dict | None = None,
-) -> str:
-    return render_svg(points, tree.edges, nbs=nbs, regions=regions)

@@ -23,6 +23,7 @@ from longspan.instances import GenSpec, generate
 from longspan.neighborhoods import Neighborhood, NeighborhoodSet, solve_stnb
 from longspan.noncrossing import solve_ncst
 from longspan.oracles import exact_ncst
+from longspan.trees import tree_length
 
 from helpers import farthest_pair_reference, orientation_reference, segments_cross_reference
 
@@ -98,6 +99,24 @@ def test_finite_input_whose_extent_overflows_is_rejected():
         pts = [(rng.uniform(-0.6, 0.6) * 1e308, rng.uniform(-0.6, 0.6) * 1e308)
                for _ in range(rng.randrange(2, 30))]
         assert diametral_pair(pts) == farthest_pair_reference(pts, range(len(pts)))
+
+
+OVERFLOWING_SUM = [(-0.6e308, 0), (0.6e308, 0), (0, 0.6e308), (0, -0.6e308), (0.3e308, 0.1e308)]
+
+
+@pytest.mark.parametrize("length", [
+    lambda pts: solve_ncst(pts).length,
+    lambda pts: solve_stnb(
+        NeighborhoodSet([Neighborhood(k, ((p,),)) for k, p in enumerate(pts)])
+    ).length,
+    lambda pts: tree_length(exact_ncst(pts), pts),
+], ids=["solve_ncst", "solve_stnb", "exact_ncst"])
+def test_finite_input_whose_length_bound_overflows_is_rejected(length):
+    # every distance fits a double, but (n - 1) * diameter = 4.8e308 does not
+    with pytest.raises(ValueError, match=r"length bound 4 \* 1\.2e\+308 overflows a double"):
+        length(OVERFLOWING_SUM)
+    # scaled by 0.37, (n - 1) * diameter = 1.776e308 is just inside the limit
+    assert math.isfinite(length([(0.37 * x, 0.37 * y) for x, y in OVERFLOWING_SUM]))
 
 
 def test_orientation_exactness_on_near_degenerate_input():
@@ -329,6 +348,22 @@ def test_farthest_pair_scans_take_numpy_arrays():
         colors = rng.integers(0, 3, 60)
         assert diametral_pair(pts) == farthest_pair_reference(pts, range(60))
         assert bichromatic_diametral_pair(pts, colors) == farthest_pair_reference(pts, colors)
+
+
+def test_farthest_pair_scans_convert_numpy_int64_and_float32():
+    np = pytest.importorskip("numpy")
+    # int64 differences wrap past 2^63, and the float32 differences
+    # 16777216.5 and 16777216.75 would both round to 2^24
+    cases = (
+        (np.int64, [[-2**62 - 2**61, 0], [2**62, 0], [0, 2**62]], (0, 1)),
+        (np.float32, [[-4194304.5, 6291456], [12582912, 6291456], [4194304, -2097152.75],
+                      [4194304, 14680064]], (2, 3)),
+    )
+    for dtype, rows, expected in cases:
+        arr = np.array(rows, dtype=dtype)
+        assert diametral_pair(arr.tolist()) == expected  # Python scalars
+        assert diametral_pair(arr) == expected
+        assert bichromatic_diametral_pair(arr, range(len(rows))) == expected
 
 
 def test_farthest_pair_scan_prunes_spread_out_input(monkeypatch):

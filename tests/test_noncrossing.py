@@ -9,7 +9,6 @@ from longspan.noncrossing import (
     build_Ta,
     build_Tb,
     classify_points,
-    lemma_diagnostics,
     ncst_params,
     solve_ncst,
 )
@@ -216,6 +215,19 @@ def test_solve_ncst_prune_matches_noprune():
         assert b.length >= a.length - 1e-12
 
 
+def test_solve_ncst_keeps_the_first_of_tied_candidates():
+    # the four stars of the unit square all have length 2 + sqrt(2)
+    rep = solve_ncst([(0, 0), (1, 0), (1, 1), (0, 1)])
+    assert (rep.candidate, rep.length, rep.metrics["center"]) == ("star", 3.414213562373095, 0)
+    # a dyadic mirror-symmetric set: every T_a comes before every T_b, so
+    # Ta (1, 4) wins here, where taking T_a and T_b guess by guess would
+    # pick Tb (0, 5)
+    pts = [(0.25, -0.5), (0.75, -0.5), (0.1875, 0.0), (0.8125, 0.0), (0.0, 0.25),
+           (1.0, 0.25), (0.375, -0.25), (0.625, -0.25)]
+    rep = solve_ncst(pts)
+    assert (rep.candidate, rep.guess) == ("Ta", (1, 4))
+
+
 def test_solve_ncst_rejects_tiny_inputs():
     with pytest.raises(ValueError):
         solve_ncst([(0, 0)])
@@ -306,25 +318,3 @@ def test_star_covers_q_point_instances():
     rep = solve_ncst(pts)
     assert rep.length >= 0.519 * tree_length(opt, pts) - 1e-12
 
-
-def test_lemma_diagnostics_margins_positive():
-    pts = [(0.0, 0.0), (1.0, 0.0), (0.5, 0.8), (0.5, 0.1)]
-    diag = lemma_diagnostics(pts, 0, 1, samples=300, seed=4)
-    p = ncst_params(1.0)
-    # the Q point (0.5, 0.8) keeps both anchor distances above lam - 1
-    assert diag.q_margins == pytest.approx(
-        (math.sqrt(0.89) - (p.lam - 1.0),), abs=1e-12
-    )
-    assert diag.worst_q > 0
-    assert diag.worst_steiner > 0
-    # the M point (0.5, 0.1) reaches every input point without crossing ab,
-    # always below the f1(d) cap
-    assert len(diag.edge_cap_margins) > 0
-    assert diag.worst_edge_cap > 0
-
-
-def test_lemma_diagnostics_no_q_points():
-    pts = [(0.0, 0.0), (1.0, 0.0), (0.5, 0.1)]
-    diag = lemma_diagnostics(pts, 0, 1)
-    assert diag.q_margins == ()
-    assert diag.worst_q is None

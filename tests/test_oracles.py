@@ -151,8 +151,8 @@ def test_oracle_ratio_records():
     rec = oracle_ratio(pts, rep)
     assert rec.ratio == pytest.approx(rep.length / rec.oracle_length)
     assert rec.ratio >= 0.519
-    assert rec.upper_ratio <= rec.ratio + 1e-12
-    assert rec.upper_bound >= rec.oracle_length - 1e-12
+    assert rep.ratio_to_upper <= rec.ratio + 1e-12
+    assert rep.upper_bound >= rec.oracle_length - 1e-12
 
     rep_same = solve_ncst(pts)
     rec = oracle_ratio(pts, rep_same, oracle_length=rep_same.length)
