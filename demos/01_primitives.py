@@ -5,10 +5,8 @@ Run:  python demos/01_primitives.py
 
 from longspan import (
     bichromatic_diametral_pair,
-    circle_circle_intersections,
     diametral_pair,
     dist,
-    in_ellipse,
     orientation,
     segments_cross,
 )
@@ -43,9 +41,3 @@ colored = [(0, 0), (5, 0), (1, 0)]
 colors = [1, 1, 2]
 i, j = bichromatic_diametral_pair(colored, colors)
 print(f"bichromatic pair (colors {colors}): ({i}, {j})")
-
-# The lens/ellipse machinery of the ratio analyses.
-delta = 0.524
-lens_tips = circle_circle_intersections((0, 0), delta, (1, 0), delta)
-print(f"\ncore lens tips for delta={delta}: {lens_tips}")
-print("midpoint inside analysis ellipse:", in_ellipse((0.5, 0), (0, 0), (1, 0), 1.863))

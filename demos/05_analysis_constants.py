@@ -5,11 +5,11 @@ Run:  python demos/05_analysis_constants.py
 
 from longspan import f1, f2, identity_suite, lf_length, ncst_params, stnb_params
 
-p = stnb_params(0.524)
+p = stnb_params()
 print("neighborhood algorithm (delta = 0.524):")
 print(f"  omega = 6*delta/sqrt(3) - 1 = {p.omega:.6f}")
 print(f"  analysis ellipse focal sum = {p.ellipse_sum:.6f}")
-print(f"  edge cap |lf| = {lf_length(0.524):.6f}  (< 0.95)")
+print(f"  edge cap |lf| = {lf_length():.6f}  (< 0.95)")
 
 q = ncst_params(1.0)
 d = q.d

@@ -14,13 +14,9 @@ from .geometry import (
     LEFT,
     RIGHT,
     Point,
-    Segment,
     bichromatic_diametral_pair,
-    circle_circle_intersections,
     diametral_pair,
     dist,
-    in_disk,
-    in_ellipse,
     orientation,
     segments_cross,
 )

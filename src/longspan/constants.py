@@ -19,16 +19,15 @@ from .neighborhoods import DELTA_NEIGHBORHOOD, stnb_label, stnb_params
 from .noncrossing import DELTA_NONCROSSING, _strip_split, ncst_label, ncst_params
 
 
-def lf_length(delta: float = DELTA_NEIGHBORHOOD) -> float:
+def lf_length() -> float:
     """Largest distance from the low tip of the core lens to the region the
     input occupies when no vertex escapes the analysis ellipse (unit frame).
 
     For delta = 0.524 this evaluates to about 0.9464, strictly below the
     0.95 edge cap the ratio argument needs.
     """
-    if not 0.5 < delta <= 0.7:
-        raise ValueError("delta outside (0.5, 0.7]")
-    omega = stnb_params(delta).omega
+    delta = DELTA_NEIGHBORHOOD
+    omega = stnb_params().omega
     t1 = (omega * omega - 4.0 * delta * delta) / 2.0
     inner = omega * omega - ((1.0 + omega * omega - 4.0 * delta * delta) / 2.0) ** 2
     t2 = math.sqrt(inner) + math.sqrt(delta * delta - 0.25)
@@ -40,17 +39,17 @@ def _check_ab(ab_len: float, d: float) -> None:
         raise ValueError(f"ab_len {ab_len} outside [{d}, 1]")
 
 
-def f2(ab_len: float, delta: float = DELTA_NONCROSSING) -> float:
+def f2(ab_len: float) -> float:
     """Longest edge leaving the middle region from the strip-line foot on
     the axis, as a function of the guess length (diameter-scaled)."""
-    params = ncst_params(min(ab_len, 1.0), delta)
+    params = ncst_params(min(ab_len, 1.0))
     _check_ab(ab_len, params.d)
     u = (1.0 + ab_len * ab_len - (params.lam - 1.0) ** 2) / (2.0 * ab_len)
     return math.sqrt((u - params.omega * ab_len) ** 2 + 1.0 - u * u)
 
 
-def _c1b(ab_len: float, delta: float) -> float:
-    params = ncst_params(min(ab_len, 1.0), delta)
+def _c1b(ab_len: float) -> float:
+    params = ncst_params(min(ab_len, 1.0))
     g = params.gamma
     return math.sqrt(
         (1.0 - params.omega) ** 2 * ab_len * ab_len
@@ -59,12 +58,12 @@ def _c1b(ab_len: float, delta: float) -> float:
     )
 
 
-def f1(ab_len: float, delta: float = DELTA_NONCROSSING) -> float:
+def f1(ab_len: float) -> float:
     """Cap on edges leaving the middle region from the top of the inner
     ellipse; maximized at ab_len = d, where it is about 0.913117 < 0.914."""
-    params = ncst_params(min(ab_len, 1.0), delta)
+    params = ncst_params(min(ab_len, 1.0))
     _check_ab(ab_len, params.d)
-    c1b = _c1b(ab_len, delta)
+    c1b = _c1b(ab_len)
     return c1b + (1.0 - ab_len) * c1b / ((1.0 - params.omega) * ab_len)
 
 
@@ -82,9 +81,9 @@ class ConstantsReport:
     ratio_floor_margin: float
 
 
-def identity_suite(num_samples: int = 50) -> ConstantsReport:
+def identity_suite() -> ConstantsReport:
     """Evaluate every closed-form identity the two analyses rest on."""
-    p3 = stnb_params(DELTA_NEIGHBORHOOD)
+    p3 = stnb_params()
     steiner_res = (math.sqrt(3.0) / 2.0) * (p3.omega + 1.0) - 3.0 * DELTA_NEIGHBORHOOD
 
     pd = ncst_params(1.0)
@@ -96,8 +95,8 @@ def identity_suite(num_samples: int = 50) -> ConstantsReport:
     abs_worst = 0.0
     f1_samples = []
     f2_samples = []
-    for k in range(num_samples):
-        ab = d + (1.0 - d) * k / (num_samples - 1)
+    for k in range(50):
+        ab = d + (1.0 - d) * k / 49
         params = ncst_params(min(ab, 1.0))
         res = (ab + params.alpha_hat * (params.gamma - ab)) / (2.0 * ab) - params.delta
         if abs(res) > abs(abs_worst):

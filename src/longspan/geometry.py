@@ -1,5 +1,5 @@
-"""Planar primitives: distances, exact orientation, segment crossing,
-diametral pairs, disk/ellipse membership and circle intersections.
+"""Planar primitives: distances, exact orientation, segment crossing and
+diametral pairs.
 
 Everything here is a pure function; no shared mutable state.
 """
@@ -30,25 +30,18 @@ _ORIENT_ERRBOUND = (3.0 + 16.0 * 2.0 ** -53) * 2.0 ** -53
 # including products that underflowed to zero, take the exact path.
 _ORIENT_MIN_DETSUM = 2.0 ** -960
 
-_TANGENT_RTOL = 1e-12
-
 
 class Point(NamedTuple):
     x: float
     y: float
 
 
-class Segment(NamedTuple):
-    a: Point
-    b: Point
-
-
 def as_points(points: Iterable[Sequence[float]]) -> list[Point]:
     """The input as a list of Points, reusing those that already are.
 
     Integer scalars such as numpy's become Python ints, whose products
-    cannot wrap, and narrower floats such as numpy float32 become Python
-    floats, which is exact; Fractions stay as they are.  Raises ValueError
+    cannot wrap, and other floats such as numpy float32 and float64 become
+    Python floats, exactly; Fractions stay as they are.  Raises ValueError
     naming the first point with a NaN or infinite coordinate, or an int
     beyond the double range: the predicates are exact only on finite doubles.
     """
@@ -60,7 +53,7 @@ def as_points(points: Iterable[Sequence[float]]) -> list[Point]:
 def _scalar(c: float) -> float:
     if isinstance(c, Integral):
         return operator.index(c)
-    if isinstance(c, Real) and not isinstance(c, (float, Rational)) and float(c) == c:
+    if isinstance(c, Real) and not isinstance(c, Rational) and float(c) == c:
         return float(c)
     return c
 
@@ -144,7 +137,7 @@ def _within_box(a: Sequence[float], b: Sequence[float], x: Sequence[float]) -> b
     )
 
 
-def segments_cross(s1: Segment | Sequence, s2: Segment | Sequence) -> bool:
+def segments_cross(s1: Sequence, s2: Sequence) -> bool:
     """Whether two segments cross.
 
     A crossing is an intersection at a point interior to at least one of the
@@ -315,51 +308,3 @@ def bichromatic_diametral_pair(
     if pair is None:
         raise ValueError("no bichromatic pair")
     return pair
-
-
-def in_disk(p: Sequence[float], center: Sequence[float], r: float) -> bool:
-    """Closed-disk membership."""
-    return dist(p, center) <= r
-
-
-def in_ellipse(
-    p: Sequence[float], f1: Sequence[float], f2: Sequence[float], total: float
-) -> bool:
-    """Whether |p f1| + |p f2| <= total (closed ellipse with the given foci).
-
-    Raises ValueError when total is smaller than the focal distance.
-    """
-    if total < dist(f1, f2):
-        raise ValueError("empty ellipse")
-    return dist(p, f1) + dist(p, f2) <= total
-
-
-def circle_circle_intersections(
-    c1: Sequence[float], r1: float, c2: Sequence[float], r2: float
-) -> list[Point]:
-    """Intersection points of two circle boundaries, sorted by y descending.
-
-    Empty when the circles are disjoint, nested, or concentric; a single
-    point when tangent within relative tolerance 1e-12.
-    """
-    if r1 <= 0 or r2 <= 0:
-        raise ValueError("radius must be positive")
-    d = dist(c1, c2)
-    if d == 0.0:
-        return []
-    scale = max(r1, r2, d)
-    a = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
-    h2 = r1 * r1 - a * a
-    tol = _TANGENT_RTOL * scale * scale
-    if h2 < -tol:
-        return []
-    ux = (c2[0] - c1[0]) / d
-    uy = (c2[1] - c1[1]) / d
-    mx = c1[0] + a * ux
-    my = c1[1] + a * uy
-    if h2 <= tol:
-        return [Point(mx, my)]
-    h = math.sqrt(h2)
-    pts = [Point(mx - h * uy, my + h * ux), Point(mx + h * uy, my - h * ux)]
-    pts.sort(key=lambda p: (-p.y, p.x))
-    return pts

@@ -296,6 +296,8 @@ def parse_tree(text: str) -> SolveReport:
         raise ValueError(f"malformed tree file: {exc}") from None
     if not isinstance(payload, dict) or payload.get("format") != 1:
         raise ValueError("unsupported tree file format")
+    if not {"points", "edges", "length"} <= payload.keys():
+        raise ValueError("malformed tree file: it needs points, edges and length")
     points = []
     for p in payload["points"]:
         if len(p) != 2 or not all(math.isfinite(float(c)) for c in p):
@@ -304,7 +306,7 @@ def parse_tree(text: str) -> SolveReport:
     n = len(points)
     edges = []
     for e in payload["edges"]:
-        i, j = int(e[0]), int(e[1])
+        i, j = _int_pair(e, "edge")
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"edge out of range: ({i}, {j})")
         edges.append((i, j))
@@ -315,9 +317,15 @@ def parse_tree(text: str) -> SolveReport:
         points=tuple(points),
         tree=Tree(n, tuple(edges)),
         length=float(payload["length"]),
-        guess=tuple(guess) if guess is not None else None,
+        guess=_int_pair(guess, "guess") if guess is not None else None,
         metrics=payload.get("metrics", {}),
     )
+
+
+def _int_pair(value, what: str) -> tuple[int, int]:
+    if not (isinstance(value, list) and len(value) == 2 and all(type(c) is int for c in value)):
+        raise ValueError(f"malformed tree file: {what} {value!r} is not two ints")
+    return tuple(value)
 
 
 def write_tree(path, report: SolveReport) -> None:

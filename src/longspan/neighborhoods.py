@@ -132,7 +132,8 @@ class StnbParams:
 DELTA_NEIGHBORHOOD = 0.524
 
 
-def stnb_params(delta: float = DELTA_NEIGHBORHOOD) -> StnbParams:
+def stnb_params() -> StnbParams:
+    delta = DELTA_NEIGHBORHOOD
     omega = 6.0 * delta / math.sqrt(3.0) - 1.0
     return StnbParams(
         delta=delta,
@@ -307,7 +308,7 @@ class StnbRegionReport:
     q_nonempty: bool
 
 
-def stnb_region_report(nbs: NeighborhoodSet, delta: float = DELTA_NEIGHBORHOOD) -> StnbRegionReport:
+def stnb_region_report(nbs: NeighborhoodSet) -> StnbRegionReport:
     """Classify every flattened vertex against the lenses L, L1, L2, L' and
     the ellipse E of the bichromatic diametral pair (a, b), from its
     distances to a and b divided by |ab|."""
@@ -316,7 +317,7 @@ def stnb_region_report(nbs: NeighborhoodSet, delta: float = DELTA_NEIGHBORHOOD) 
     ab = dist(pa, pb)
     if ab == 0.0:
         raise ValueError("coincident pair")
-    params = stnb_params(delta)
+    params = stnb_params()
     unit = [(dist(p, pa) / ab, dist(p, pb) / ab) for p in nbs.points]
     labels = tuple(stnb_label(da, db, params) for da, db in unit)
     m = sum(

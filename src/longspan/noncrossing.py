@@ -48,7 +48,8 @@ class NcstParams:
     gamma: float
 
 
-def ncst_params(ab_len: float, delta: float = DELTA_NONCROSSING) -> NcstParams:
+def ncst_params(ab_len: float) -> NcstParams:
+    delta = DELTA_NONCROSSING
     if not 0.0 < ab_len <= 1.0 + 1e-9:
         raise ValueError(f"ab_len {ab_len} outside (0, 1]")
     omega = STRIP_OMEGA
@@ -129,9 +130,7 @@ def _strip_split(points: Sequence[Sequence[float]], a: int, b: int) -> tuple:
     return ab, (ux, uy), xs, strips
 
 
-def classify_points(
-    points: Sequence[Sequence[float]], a: int, b: int, delta: float = DELTA_NONCROSSING
-) -> RegionClassifier:
+def classify_points(points: Sequence[Sequence[float]], a: int, b: int) -> RegionClassifier:
     """Label every point against the regions of the guess (a, b).
 
     Coordinates must be diameter-scaled (diameter 1): the lens L uses disks
@@ -139,7 +138,7 @@ def classify_points(
     direction; points exactly on a strip line count as middle.
     """
     ab, _, _, strips = _strip_split(points, a, b)
-    params = ncst_params(ab, delta)
+    params = ncst_params(ab)
     pa, pb = points[a], points[b]
     labels = tuple(
         ncst_label(dist(p, pa), dist(p, pb), strip, params)

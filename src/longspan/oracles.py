@@ -114,7 +114,8 @@ def exact_stnb(nbs: NeighborhoodSet, max_assignments: int = 10**6) -> StnbSoluti
 
     Every combination of one vertex per neighborhood is scored with an exact
     maximum spanning tree; the guard errors out (rather than truncating)
-    when the assignment space exceeds max_assignments.
+    when the assignment space exceeds max_assignments.  Input where (n - 1)
+    times the bichromatic diameter overflows is rejected, as by solve_stnb.
     """
     ranges = [nbs.vertex_indices(nb.color) for nb in nbs.neighborhoods]
     space = 1
@@ -125,6 +126,9 @@ def exact_stnb(nbs: NeighborhoodSet, max_assignments: int = 10**6) -> StnbSoluti
 
     npts = nbs.points
     dmat = [[dist(p, q) for q in npts] for p in npts]
+    longest = max((dmat[i][j] for i, j in itertools.combinations(range(len(npts)), 2)
+                   if nbs.colors[i] != nbs.colors[j]), default=0.0)
+    _check_length_bound(nbs.n - 1, longest)
     best_len = -1.0
     best_assign: tuple[int, ...] | None = None
     for assign in itertools.product(*ranges):
@@ -150,12 +154,11 @@ def oracle_ratio(
     instance: Sequence[Sequence[float]] | NeighborhoodSet,
     approx: SolveReport,
     oracle_length: float | None = None,
-    max_n: int = 9,
-    max_assignments: int = 10**6,
 ) -> RatioRecord:
     """Score an approximate solution against the matching exact oracle.
 
-    Runs the oracle itself when oracle_length is not supplied.  Raises
+    Runs the oracle itself, with its default size guard, when oracle_length
+    is not supplied.  Raises
     ValueError when the solution does not fit the instance or a point has a
     NaN or infinite coordinate.
     """
@@ -163,13 +166,13 @@ def oracle_ratio(
         if approx.tree.n != instance.n:
             raise ValueError("solution does not match instance")
         if oracle_length is None:
-            oracle_length = exact_stnb(instance, max_assignments).length
+            oracle_length = exact_stnb(instance).length
     else:
         if approx.tree.n != len(instance):
             raise ValueError("solution does not match instance")
         pts = as_points(instance)
         if oracle_length is None:
-            oracle_length = tree_length(exact_ncst(pts, max_n), pts)
+            oracle_length = tree_length(exact_ncst(pts), pts)
     return RatioRecord(
         approx_length=approx.length,
         oracle_length=oracle_length,

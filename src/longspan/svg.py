@@ -15,13 +15,14 @@ _PALETTE = (
 
 
 class _Canvas:
-    def __init__(self, xs, ys, size=640, pad=0.08):
+    def __init__(self, xs, ys):
+        # the longer side, with an 8% margin at each end, spans 640 pixels
         xmin, xmax = min(xs), max(xs)
         ymin, ymax = min(ys), max(ys)
         span = max(xmax - xmin, ymax - ymin, 1e-9)
-        margin = pad * span
+        margin = 0.08 * span
         self.xmin, self.ymin = xmin - margin, ymin - margin
-        self.scale = size / (span + 2 * margin)
+        self.scale = 640 / (span + 2 * margin)
         self.w = (xmax - xmin + 2 * margin) * self.scale
         self.h = (ymax - ymin + 2 * margin) * self.scale
         self.ymax = ymax + margin
@@ -40,13 +41,11 @@ def _fmt(v: float) -> str:
 def render_svg(
     points: Sequence[Sequence[float]],
     edges: Sequence[tuple[int, int]] = (),
-    colors: Sequence[int] | None = None,
     nbs: NeighborhoodSet | None = None,
     regions: dict | None = None,
-    size: int = 640,
 ) -> str:
-    """Draw points (optionally color-tagged), tree edges, neighborhood
-    vertices, and optional region overlays.
+    """Draw points, tree edges, neighborhood vertices, and optional region
+    overlays on a 640-pixel canvas.
 
     regions, when given, is {"a": Point, "b": Point, "radii": [...],
     "ellipse_sums": [...]}: circles of each radius are drawn around both a
@@ -62,7 +61,7 @@ def render_svg(
         reach = max(list(regions.get("radii", ())) + [1.0])
         xs += [a[0] - reach, a[0] + reach, b[0] - reach, b[0] + reach]
         ys += [a[1] - reach, a[1] + reach, b[1] - reach, b[1] + reach]
-    cv = _Canvas(xs, ys, size=size)
+    cv = _Canvas(xs, ys)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{cv.w:.0f}" '
@@ -120,11 +119,10 @@ def render_svg(
             'stroke="#2d3436" stroke-width="1.6"/>'
         )
 
-    for k, p in enumerate(points):
-        col = _PALETTE[colors[k] % len(_PALETTE)] if colors is not None else "#0984e3"
+    for p in points:
         parts.append(
             f'<circle cx="{_fmt(cv.x(p[0]))}" cy="{_fmt(cv.y(p[1]))}" '
-            f'r="4" fill="{col}" stroke="#2d3436" stroke-width="0.8"/>'
+            'r="4" fill="#0984e3" stroke="#2d3436" stroke-width="0.8"/>'
         )
 
     parts.append("</svg>")

@@ -41,9 +41,9 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
 
 
 def test_criterion_1_constant_reproduction():
-    lf = lf_length(0.524)
+    lf = lf_length()
     f1d = f1(D_NC)
-    omega3 = stnb_params(0.524).omega
+    omega3 = stnb_params().omega
     ok = (
         0.9459 <= lf <= 0.9469
         and lf < 0.95
@@ -55,7 +55,7 @@ def test_criterion_1_constant_reproduction():
 
 
 def test_criterion_2_identity_suite():
-    p3 = stnb_params(0.524)
+    p3 = stnb_params()
     res_steiner = (math.sqrt(3) / 2) * (p3.omega + 1) - 3 * 0.524
     p = ncst_params(1.0)
     res_ab = (2 - 3 * p.omega + (p.omega - 1) * (p.alpha_hat + p.beta_hat)) / 2 - 0.519
@@ -210,7 +210,7 @@ def test_criterion_5_lemma_property_suites():
     # and the margins are written out again here, so every sample is checked
     # independently of the sampler's own region tests
     smix = SplitMix64(51)
-    p524 = stnb_params(0.524)
+    p524 = stnb_params()
     worst_524 = float("inf")
     count = 0
     for a, b, q, p in triple_samples(smix, "neighborhood", 5000):

@@ -106,6 +106,16 @@ def test_check_rejects_corrupted_tree(tmp_path, capsys):
     assert "not spanning" in capsys.readouterr().out
 
 
+def test_malformed_tree_file_exits_2(tmp_path, capsys):
+    tree = tmp_path / "t.json"
+    tree.write_text(json.dumps({"format": 1, "points": [[0, 0], [1, 0]], "edges": [[0]],
+                                "length": 1.0}))
+    for argv in (("check", "--tree", str(tree)),
+                 ("ratio", "--approx", str(tree), "--oracle", str(tree))):
+        assert run(*argv) == 2
+        assert "malformed tree file" in capsys.readouterr().err
+
+
 def test_check_rejects_wrong_representatives(tmp_path, capsys):
     nbs = tmp_path / "n.nbs"
     tree = tmp_path / "t.json"

@@ -1,31 +1,16 @@
-import math
-
 import pytest
 
 from longspan.constants import f1, f2, identity_suite, lf_length
 from longspan.geometry import dist
 from longspan.instances import SplitMix64
-from longspan.neighborhoods import stnb_params
 from longspan.noncrossing import ncst_params
 
 D = 1.0 / (2.0 * 0.519)
 
 
 def test_lf_length_reference_value():
-    assert lf_length(0.524) == pytest.approx(0.9464, abs=5e-4)
-    assert lf_length(0.524) < 0.95
-    with pytest.raises(ValueError):
-        lf_length(0.49)
-
-
-def test_lf_length_first_term_cancels_when_omega_is_twice_delta():
-    # hypothetical delta with omega = 2*delta: the horizontal term vanishes
-    # and |lf| reduces to the vertical span alone
-    delta = 1.0 / (6.0 / math.sqrt(3.0) - 2.0)  # solves 6d/sqrt(3) - 1 = 2d
-    assert stnb_params(delta).omega == pytest.approx(2 * delta, abs=1e-12)
-    omega = 2 * delta
-    vertical = math.sqrt(omega**2 - 0.25) + math.sqrt(delta**2 - 0.25)
-    assert lf_length(delta) == pytest.approx(vertical, abs=1e-12)
+    assert lf_length() == pytest.approx(0.9464, abs=5e-4)
+    assert lf_length() < 0.95
 
 
 def test_f1_reference_value_and_cap():

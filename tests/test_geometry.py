@@ -11,18 +11,15 @@ from longspan.geometry import (
     RIGHT,
     as_points,
     bichromatic_diametral_pair,
-    circle_circle_intersections,
     diametral_pair,
     dist,
-    in_disk,
-    in_ellipse,
     orientation,
     segments_cross,
 )
 from longspan.instances import GenSpec, generate
 from longspan.neighborhoods import Neighborhood, NeighborhoodSet, solve_stnb
 from longspan.noncrossing import solve_ncst
-from longspan.oracles import exact_ncst
+from longspan.oracles import exact_ncst, exact_stnb
 from longspan.trees import tree_length
 
 from helpers import farthest_pair_reference, orientation_reference, segments_cross_reference
@@ -104,13 +101,16 @@ def test_finite_input_whose_extent_overflows_is_rejected():
 OVERFLOWING_SUM = [(-0.6e308, 0), (0.6e308, 0), (0, 0.6e308), (0, -0.6e308), (0.3e308, 0.1e308)]
 
 
+def _point_neighborhoods(pts):
+    return NeighborhoodSet([Neighborhood(k, ((p,),)) for k, p in enumerate(pts)])
+
+
 @pytest.mark.parametrize("length", [
     lambda pts: solve_ncst(pts).length,
-    lambda pts: solve_stnb(
-        NeighborhoodSet([Neighborhood(k, ((p,),)) for k, p in enumerate(pts)])
-    ).length,
+    lambda pts: solve_stnb(_point_neighborhoods(pts)).length,
     lambda pts: tree_length(exact_ncst(pts), pts),
-], ids=["solve_ncst", "solve_stnb", "exact_ncst"])
+    lambda pts: exact_stnb(_point_neighborhoods(pts)).length,
+], ids=["solve_ncst", "solve_stnb", "exact_ncst", "exact_stnb"])
 def test_finite_input_whose_length_bound_overflows_is_rejected(length):
     # every distance fits a double, but (n - 1) * diameter = 4.8e308 does not
     with pytest.raises(ValueError, match=r"length bound 4 \* 1\.2e\+308 overflows a double"):
@@ -364,6 +364,13 @@ def test_farthest_pair_scans_convert_numpy_int64_and_float32():
         assert diametral_pair(arr.tolist()) == expected  # Python scalars
         assert diametral_pair(arr) == expected
         assert bichromatic_diametral_pair(arr, range(len(rows))) == expected
+    # float64 subclasses float; left unconverted, its differences would
+    # overflow with a numpy RuntimeWarning, not the documented ValueError
+    huge = np.array([[-1e308, 0], [1e308, 0]])
+    with pytest.raises(ValueError, match="x extent of the points overflows a double"):
+        diametral_pair(huge)
+    with pytest.raises(ValueError, match="x extent of the points overflows a double"):
+        solve_ncst(np.vstack([huge, [[0, 1]]]))
 
 
 def test_farthest_pair_scan_prunes_spread_out_input(monkeypatch):
@@ -423,50 +430,3 @@ def test_bichromatic_pair_on_counterexample_instance():
     assert nbs.points[i] == (0.0, 0.0)
     assert nbs.points[j] == (2.0, 0.0)
 
-
-def test_in_ellipse_examples():
-    assert in_ellipse((0.5, 0), (0, 0), (1, 0), 1.0) is True
-    assert in_ellipse((0, 0), (0, 0), (1, 0), 1.0) is True
-    assert in_ellipse((0, 2), (0, 0), (1, 0), 1.5) is False
-    with pytest.raises(ValueError, match="empty ellipse"):
-        in_ellipse((0, 0), (0, 0), (1, 0), 0.5)
-
-
-def test_circle_circle_examples():
-    pts = circle_circle_intersections((0, 0), 1.0, (1, 0), 1.0)
-    assert len(pts) == 2
-    assert pts[0] == pytest.approx((0.5, math.sqrt(3) / 2), abs=1e-12)
-    assert pts[1] == pytest.approx((0.5, -math.sqrt(3) / 2), abs=1e-12)
-
-    assert circle_circle_intersections((0, 0), 1.0, (3, 0), 1.0) == []
-
-    # low tip of the core lens for delta = 0.524: y = -sqrt(delta^2 - 1/4)
-    delta = 0.524
-    expected_y = -math.sqrt(delta * delta - 0.25)
-    pts = circle_circle_intersections((0, 0), delta, (1, 0), delta)
-    assert pts[1] == pytest.approx((0.5, expected_y), abs=1e-12)
-    assert expected_y == pytest.approx(-0.15676734353812352, abs=1e-12)
-
-
-def test_circle_circle_tangent_and_nested():
-    pts = circle_circle_intersections((0, 0), 1.0, (2, 0), 1.0)
-    assert len(pts) == 1
-    assert pts[0] == pytest.approx((1.0, 0.0), abs=1e-9)
-    assert circle_circle_intersections((0, 0), 2.0, (0.1, 0), 0.5) == []
-    with pytest.raises(ValueError):
-        circle_circle_intersections((0, 0), 0.0, (1, 0), 1.0)
-
-
-def test_in_disk_membership_consistency_near_boundary():
-    rng = random.Random(5)
-    center, r = (0.3, -0.2), 0.77
-    for _ in range(300):
-        theta = rng.uniform(0, 2 * math.pi)
-        off = rng.choice([-1e-6, -1e-9, 1e-9, 1e-6])
-        p = (
-            center[0] + (r + off) * math.cos(theta),
-            center[1] + (r + off) * math.sin(theta),
-        )
-        # outside the 1e-12 tolerance band membership must match the sign
-        if abs(dist(p, center) - r) > 1e-12 * r:
-            assert in_disk(p, center, r) == (dist(p, center) < r)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -200,3 +201,13 @@ def test_tree_file_roundtrip_and_errors():
         parse_tree('{"format": 2}')
     with pytest.raises(ValueError, match="malformed tree file"):
         parse_tree("not json")
+
+    payload = json.loads(text)
+    assert parse_tree(json.dumps(dict(payload, guess=[1, 0]))).guess == (1, 0)
+    malformed = [{k: v for k, v in payload.items() if k != key}
+                 for key in ("points", "edges", "length")]
+    malformed += [dict(payload, edges=e) for e in ([[0]], [0], [[0, 1.0]], [[0, "1"]])]
+    malformed += [dict(payload, guess=g) for g in (0, [0], [0, 1, 1], "01")]
+    for bad in malformed:
+        with pytest.raises(ValueError, match="malformed tree file"):
+            parse_tree(json.dumps(bad))

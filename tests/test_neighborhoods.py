@@ -63,7 +63,7 @@ def test_solvers_reject_non_finite_vertices(bad, solver, count):
 
 
 def test_stnb_params_identities():
-    p = stnb_params(0.524)
+    p = stnb_params()
     assert p.omega == pytest.approx(0.815, abs=1e-3)
     assert p.omega == pytest.approx(0.8151892463321835, abs=1e-12)
     # the parameter choice makes (sqrt(3)/2)(omega+1) equal 3*delta exactly
@@ -264,7 +264,7 @@ def test_q_empty_implies_core_edges_below_cap():
     # allowed region (L1 u L2 minus Q) stay below 0.95
     from longspan.instances import SplitMix64
 
-    p = stnb_params(0.524)
+    p = stnb_params()
     rng = SplitMix64(42)
     core, region = [], []
     while len(core) < 400 or len(region) < 400:
