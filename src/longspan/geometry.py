@@ -258,11 +258,12 @@ def _farthest_pair(
     big = max(r)
     t = r.index(big)  # L: two farthest-point sweeps over the other colors
     for _ in range(2):
-        p, c = points[t], colors[t]
-        far, t = max(((dist(p, q), k) for k, q in enumerate(points) if colors[k] != c),
-                     default=(None, t))
-        if far is None:
+        px, py, c = xs[t], ys[t], colors[t]
+        row = [math.hypot(px - x, py - y) if ck != c else -1.0 for x, y, ck in zip(xs, ys, colors)]
+        far = max(row)
+        if far < 0.0:
             return None
+        t = len(row) - 1 - row[::-1].index(far)  # the last farthest point
     cut = min(far, sys.float_info.max) * (1.0 - 2.0**-40) - 2.0**-44 * mxy - 2.0**-1060
     keep = [k for k in range(len(points)) if r[k] + big >= cut]
     # only a strictly larger distance replaces the pair: ties keep the first

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -298,12 +299,17 @@ def parse_tree(text: str) -> SolveReport:
         raise ValueError("unsupported tree file format")
     if not {"points", "edges", "length"} <= payload.keys():
         raise ValueError("malformed tree file: it needs points, edges and length")
+    if not (isinstance(payload["points"], list) and isinstance(payload["edges"], list)):
+        raise ValueError("malformed tree file: points and edges must be lists")
     points = []
     for p in payload["points"]:
-        if len(p) != 2 or not all(math.isfinite(float(c)) for c in p):
-            raise ValueError("malformed point")
-        points.append(Point(float(p[0]), float(p[1])))
+        if not (isinstance(p, list) and len(p) == 2):
+            raise ValueError(f"malformed tree file: point {p!r} is not a pair of numbers")
+        points.append(Point(_finite(p[0], "point coordinate"), _finite(p[1], "point coordinate")))
     n = len(points)
+    metrics = payload.get("metrics", {})
+    if not isinstance(metrics, dict):
+        raise ValueError(f"malformed tree file: metrics {metrics!r} is not an object")
     edges = []
     for e in payload["edges"]:
         i, j = _int_pair(e, "edge")
@@ -316,10 +322,17 @@ def parse_tree(text: str) -> SolveReport:
         candidate=payload.get("candidate", "unknown"),
         points=tuple(points),
         tree=Tree(n, tuple(edges)),
-        length=float(payload["length"]),
+        length=_finite(payload["length"], "length"),
         guess=_int_pair(guess, "guess") if guess is not None else None,
-        metrics=payload.get("metrics", {}),
+        metrics=metrics,
     )
+
+
+def _finite(value, what: str) -> float:
+    # a JSON number as a finite float; bools are not numbers here
+    if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ValueError(f"malformed tree file: {what} {value!r} is not a finite number")
 
 
 def _int_pair(value, what: str) -> tuple[int, int]:

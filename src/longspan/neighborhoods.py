@@ -174,19 +174,40 @@ def stnb_label(da: float, db: float, params: StnbParams) -> StnbRegionLabel:
     )
 
 
+def _farthest_row(
+    nbs: NeighborhoodSet, origin: Sequence[float], ranges: Sequence[range] | None = None
+) -> tuple[list[float], list[int]]:
+    # The distances |v origin|, as by dist, from origin to the vertices of
+    # `ranges` (consecutive vertex ranges of nbs, by default all of them),
+    # indexed from the first range's start; and the farthest vertex of each
+    # range, ties to the smallest index.  The candidates' one distance kernel.
+    ranges = ranges or list(nbs._ranges.values())
+    lo = ranges[0].start
+    ox, oy = origin[0], origin[1]
+    row = [math.hypot(x - ox, y - oy) for x, y in nbs.points[lo:ranges[-1].stop]]
+    return row, [r.start + (seg := row[r.start - lo:r.stop - lo]).index(max(seg)) for r in ranges]
+
+
 def farthest_vertex_in(nbs: NeighborhoodSet, color: int, origin: Sequence[float]) -> int:
     """Flattened index of the vertex of the given neighborhood farthest from
     origin; ties break to the smallest index."""
-    indices = nbs.vertex_indices(color)
-    if len(indices) == 0:
-        raise ValueError("empty neighborhood")
-    best = indices[0]
-    best_d = dist(nbs.points[best], origin)
-    for k in indices[1:]:
-        dk = dist(nbs.points[k], origin)
-        if dk > best_d:
-            best, best_d = k, dk
-    return best
+    return _farthest_row(nbs, origin, [nbs.vertex_indices(color)])[1][0]
+
+
+def _double_star(nbs: NeighborhoodSet, a: int, b: int, row_a, far_a, row_b, far_b) -> StnbSolution:
+    # build_double_star from the rows of a and b
+    ca, cb = nbs.color_of(a), nbs.color_of(b)
+    if ca == cb:
+        raise ValueError("double-star anchors must have different colors")
+    ka, kb = nbs.position_of_color(ca), nbs.position_of_color(cb)
+    reps = {ca: a, cb: b}
+    edges = [(ka, kb)]
+    for k, nb in enumerate(nbs.neighborhoods):
+        if k != ka and k != kb:
+            to_a = row_a[far_a[k]] >= row_b[far_b[k]]
+            reps[nb.color] = far_a[k] if to_a else far_b[k]
+            edges.append((ka if to_a else kb, k))
+    return _stnb_solution(nbs, reps, edges, "D")
 
 
 def build_double_star(nbs: NeighborhoodSet, a: int, b: int) -> StnbSolution:
@@ -197,25 +218,15 @@ def build_double_star(nbs: NeighborhoodSet, a: int, b: int) -> StnbSolution:
     Every non-ab edge has length at least |ab|/2 whenever (a, b) is a
     bichromatic diametral pair.
     """
-    ca, cb = nbs.color_of(a), nbs.color_of(b)
-    if ca == cb:
-        raise ValueError("double-star anchors must have different colors")
-    pa, pb = nbs.points[a], nbs.points[b]
-    ka, kb = nbs.position_of_color(ca), nbs.position_of_color(cb)
-    reps = {ca: a, cb: b}
-    edges = [(ka, kb)]
-    for k, nb in enumerate(nbs.neighborhoods):
-        if nb.color in (ca, cb):
-            continue
-        p_i = farthest_vertex_in(nbs, nb.color, pa)
-        q_i = farthest_vertex_in(nbs, nb.color, pb)
-        if dist(nbs.points[p_i], pa) >= dist(nbs.points[q_i], pb):
-            reps[nb.color] = p_i
-            edges.append((ka, k))
-        else:
-            reps[nb.color] = q_i
-            edges.append((kb, k))
-    return _stnb_solution(nbs, reps, edges, "D")
+    return _double_star(nbs, a, b, *_farthest_row(nbs, nbs.points[a]), *_farthest_row(nbs, nbs.points[b]))
+
+
+def _star(nbs: NeighborhoodSet, center: int, far: list[int], candidate: str) -> StnbSolution:
+    # longest_spanning_star_nb from the farthest vertices of center's row
+    kc = nbs.position_of_color(nbs.color_of(center))
+    reps = {nbs.color_of(center): center}
+    reps.update((nb.color, far[k]) for k, nb in enumerate(nbs.neighborhoods) if k != kc)
+    return _stnb_solution(nbs, reps, [(kc, k) for k in range(nbs.n) if k != kc], candidate)
 
 
 def longest_spanning_star_nb(
@@ -223,17 +234,7 @@ def longest_spanning_star_nb(
 ) -> StnbSolution:
     """Longest spanning star centered at a vertex: the center represents its
     own neighborhood and connects to the farthest vertex of every other."""
-    cc = nbs.color_of(center)
-    pc = nbs.points[center]
-    kc = nbs.position_of_color(cc)
-    reps = {cc: center}
-    edges = []
-    for k, nb in enumerate(nbs.neighborhoods):
-        if nb.color == cc:
-            continue
-        reps[nb.color] = farthest_vertex_in(nbs, nb.color, pc)
-        edges.append((kc, k))
-    return _stnb_solution(nbs, reps, edges, candidate)
+    return _star(nbs, center, _farthest_row(nbs, nbs.points[center])[1], candidate)
 
 
 def solve_stnb(nbs: NeighborhoodSet) -> SolveReport:
@@ -245,6 +246,10 @@ def solve_stnb(nbs: NeighborhoodSet) -> SolveReport:
     D, then reports the longest; ties keep the earliest candidate in the
     order S1, S2, S3, D.  Linear after the diametral pair, whose scan is
     near-linear on spread-out vertices and O(N^2) when all lie on a circle.
+    The linear part builds one distance row per origin (a, b and the three
+    centres) and sums a losing star without building its tree.  On
+    spread-out input the scan is about 30% of a call and each row about
+    10%; README's Scale section gives each phase's cost.
     Raises ValueError when (n - 1) * |ab| overflows a double.
     """
     a, b = bichromatic_diametral_pair(nbs.points, nbs.colors)
@@ -252,26 +257,26 @@ def solve_stnb(nbs: NeighborhoodSet) -> SolveReport:
     ab = dist(pa, pb)
     _check_length_bound(nbs.n - 1, ab)
 
-    a_prime = farthest_vertex_in(nbs, nbs.color_of(a), pa)
-    b_prime = farthest_vertex_in(nbs, nbs.color_of(b), pb)
-    c = 0
-    best_sum = -1.0
-    for v in range(nbs.total_vertices):
-        s = dist(nbs.points[v], pa) + dist(nbs.points[v], pb)
-        if s > best_sum:
-            best_sum = s
-            c = v
-
-    candidates = [
-        longest_spanning_star_nb(nbs, a_prime, "S1"),
-        longest_spanning_star_nb(nbs, b_prime, "S2"),
-        longest_spanning_star_nb(nbs, c, "S3"),
-        build_double_star(nbs, a, b),
-    ]
-    winner = candidates[0]
-    for cand in candidates[1:]:
-        if cand.length > winner.length:
-            winner = cand
+    rows_a, rows_b = _farthest_row(nbs, pa), _farthest_row(nbs, pb)
+    sums = [da + db for da, db in zip(rows_a[0], rows_b[0])]
+    centers = {
+        "S1": rows_a[1][nbs.position_of_color(nbs.color_of(a))],
+        "S2": rows_b[1][nbs.position_of_color(nbs.color_of(b))],
+        "S3": sums.index(max(sums)),
+    }
+    lengths, rows = {}, {}
+    for name, center in centers.items():
+        # a star's length, its edges added in ascending position as by tree_length
+        row, far = rows[name] = _farthest_row(nbs, nbs.points[center])
+        kc = nbs.position_of_color(nbs.color_of(center))
+        total = 0.0
+        for v in far[:kc] + far[kc + 1:]:
+            total += row[v]
+        lengths[name] = total
+    double = _double_star(nbs, a, b, *rows_a, *rows_b)
+    lengths["D"] = double.length
+    name = max(lengths, key=lengths.get)  # the first of equal lengths
+    winner = double if name == "D" else _star(nbs, centers[name], rows[name][1], name)
 
     upper = (nbs.n - 1) * ab
     return SolveReport(
@@ -286,7 +291,7 @@ def solve_stnb(nbs: NeighborhoodSet) -> SolveReport:
             "ab_pair": [a, b],
             "ab_length": ab,
             "ratio_to_upper": winner.length / upper if upper > 0 else None,
-            "candidate_lengths": {s.candidate: s.length for s in candidates},
+            "candidate_lengths": lengths,
         },
     )
 

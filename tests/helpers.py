@@ -156,3 +156,67 @@ def fermat_grid_oracle(a, b, c, steps: int = 60, rounds: int = 10) -> float:
         xmin, xmax = bx - 2 * dx, bx + 2 * dx
         ymin, ymax = by - 2 * dy, by + 2 * dy
     return best[1]
+
+
+def solve_stnb_reference(nbs) -> dict:
+    """The 0.524 algorithm written vertex by vertex: the pair (a, b) from
+    farthest_pair_reference, each farthest vertex and the S3 centre from
+    one hypot per vertex, and all four candidates S1, S2, S3, D built as
+    trees and summed edge by edge in sorted edge order.  Returns the
+    report's fields (the tree as its sorted edge list)."""
+    points, colors = nbs.points, nbs.colors
+    order = [nb.color for nb in nbs.neighborhoods]
+
+    def d(p, q):
+        return math.hypot(p[0] - q[0], p[1] - q[1])
+
+    def farthest(color, origin):
+        best = None
+        for v in range(len(points)):
+            if colors[v] == color and (best is None or d(points[v], origin) > d(points[best], origin)):
+                best = v
+        return best
+
+    def candidate(name, reps, edges):
+        edges = sorted((min(i, j), max(i, j)) for i, j in edges)
+        pts = [points[reps[c]] for c in order]
+        length = 0.0
+        for i, j in edges:
+            length += d(pts[i], pts[j])
+        return {"candidate": name, "edges": edges, "representatives": reps, "points": pts,
+                "length": length}
+
+    def star(center, name):
+        kc = order.index(colors[center])
+        reps = {colors[center]: center}
+        reps.update({c: farthest(c, points[center]) for c in order if c != colors[center]})
+        return candidate(name, reps, [(kc, k) for k in range(len(order)) if k != kc])
+
+    a, b = farthest_pair_reference(points, colors)
+    pa, pb = points[a], points[b]
+    c = 0
+    for v in range(len(points)):
+        if d(points[v], pa) + d(points[v], pb) > d(points[c], pa) + d(points[c], pb):
+            c = v
+    ka, kb = order.index(colors[a]), order.index(colors[b])
+    reps, edges = {colors[a]: a, colors[b]: b}, [(ka, kb)]
+    for k, color in enumerate(order):
+        if k not in (ka, kb):
+            p, q = farthest(color, pa), farthest(color, pb)
+            far_a = d(points[p], pa) >= d(points[q], pb)
+            reps[color] = p if far_a else q
+            edges.append((ka if far_a else kb, k))
+    cands = [star(farthest(colors[a], pa), "S1"), star(farthest(colors[b], pb), "S2"),
+             star(c, "S3"), candidate("D", reps, edges)]
+    winner = cands[0]
+    for cand in cands[1:]:
+        if cand["length"] > winner["length"]:
+            winner = cand
+    ab = d(pa, pb)
+    upper = (len(order) - 1) * ab
+    return dict(winner, upper_bound=upper, metrics={
+        "ab_pair": [a, b],
+        "ab_length": ab,
+        "ratio_to_upper": winner["length"] / upper if upper > 0 else None,
+        "candidate_lengths": {cand["candidate"]: cand["length"] for cand in cands},
+    })

@@ -116,6 +116,18 @@ def test_malformed_tree_file_exits_2(tmp_path, capsys):
         assert "malformed tree file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [("points", [[None, 0], [1, 0]]), ("points", [5, [1, 0]]),
+                                          ("length", None), ("length", "x"), ("metrics", 5)])
+def test_tree_file_with_malformed_values_exits_2(tmp_path, capsys, field, value):
+    payload = {"format": 1, "points": [[0, 0], [1, 0]], "edges": [[0, 1]], "length": 1.0}
+    tree = tmp_path / "t.json"
+    tree.write_text(json.dumps(dict(payload, **{field: value})))
+    for argv in (("check", "--tree", str(tree)),
+                 ("ratio", "--approx", str(tree), "--oracle", str(tree))):
+        assert run(*argv) == 2
+        assert "malformed tree file" in capsys.readouterr().err
+
+
 def test_check_rejects_wrong_representatives(tmp_path, capsys):
     nbs = tmp_path / "n.nbs"
     tree = tmp_path / "t.json"

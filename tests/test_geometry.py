@@ -338,6 +338,14 @@ def test_farthest_pair_scans_match_reference():
                 bichromatic_diametral_pair(pts, colors)
         else:
             assert bichromatic_diametral_pair(pts, colors) == expected
+    # the 5x5 lattice with colors in contiguous blocks, as NeighborhoodSet
+    # lays them out: many pairs tie for the sweeps' farthest point
+    lattice = [(x, y) for x in range(5) for y in range(5)]
+    for pts in (lattice, lattice[::-1], [(0.1 * x, 0.1 * y) for x, y in lattice]):
+        assert diametral_pair(pts) == farthest_pair_reference(pts, range(25))
+        for block in range(1, 25):
+            colors = [k // block for k in range(25)]
+            assert bichromatic_diametral_pair(pts, colors) == farthest_pair_reference(pts, colors)
 
 
 def test_farthest_pair_scans_take_numpy_arrays():

@@ -211,3 +211,31 @@ def test_tree_file_roundtrip_and_errors():
     for bad in malformed:
         with pytest.raises(ValueError, match="malformed tree file"):
             parse_tree(json.dumps(bad))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("points", [[None, 0], [1, 0]]),
+    ("points", [5, [1, 0]]),
+    ("points", [[0, "1"], [1, 0]]),
+    ("points", [[True, 0], [1, 0]]),
+    ("points", [[10**400, 0], [1, 0]]),
+    ("points", 5),
+    ("edges", 5),
+    ("length", None),
+    ("length", "1.0"),
+    ("length", [1.0]),
+    ("metrics", 5),
+    ("metrics", [1]),
+])
+def test_parse_tree_rejects_malformed_values(field, value):
+    payload = {"format": 1, "points": [[0, 0], [1, 0]], "edges": [[0, 1]], "length": 1.0}
+    with pytest.raises(ValueError, match="malformed tree file"):
+        parse_tree(json.dumps(dict(payload, **{field: value})))
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_parse_tree_rejects_non_finite_numbers(text):
+    for body in (f'"points": [[{text}, 0]], "edges": [], "length": 0',
+                 f'"points": [[0, 0]], "edges": [], "length": {text}'):
+        with pytest.raises(ValueError, match="malformed tree file"):
+            parse_tree('{"format": 1, ' + body + "}")

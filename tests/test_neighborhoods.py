@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -17,6 +18,8 @@ from longspan.neighborhoods import (
 )
 from longspan.oracles import exact_stnb
 from longspan.trees import validate_spanning_tree
+
+from helpers import solve_stnb_reference
 
 
 def _singletons(*pts) -> NeighborhoodSet:
@@ -183,6 +186,43 @@ def test_solve_stnb_report_fields():
     # exactly one representative per color, drawn from that neighborhood
     for color, v in rep.representatives.items():
         assert nbs.color_of(v) == color
+
+
+def _stnb_corpus(rng):
+    """Neighborhood sets of every shape the candidate layer must not get
+    wrong: floats, ints and Fractions, duplicate vertices, singletons, two
+    neighborhoods, and lattice vertices with many equal distances."""
+    def nbs_of(rings):
+        return NeighborhoodSet([Neighborhood(c + 1, (ring,)) for c, ring in enumerate(rings)])
+
+    for _ in range(25):
+        yield _random_nbs(rng, n=rng.randrange(2, 9), k=rng.randrange(1, 6))
+        yield _singletons(*((rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(rng.randrange(2, 9))))
+        n, side = rng.randrange(2, 9), rng.randrange(2, 6)
+        cells = [(x, y) for x in range(side) for y in range(side)]
+        yield nbs_of([tuple(rng.choice(cells) for _ in range(rng.randrange(1, 5))) for _ in range(n)])
+        yield nbs_of([tuple((rng.randrange(-3, 4) * 10**20, rng.randrange(-3, 4))
+                            for _ in range(rng.randrange(1, 4))) for _ in range(n)])
+        yield nbs_of([tuple((Fraction(rng.randrange(-9, 10), 7), Fraction(rng.randrange(-9, 10), 3))
+                            for _ in range(rng.randrange(1, 4))) for _ in range(n)])
+        base = [(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(3)]
+        yield nbs_of([tuple(rng.choice(base) for _ in range(rng.randrange(1, 4))) for _ in range(n)])
+    for kind, n, k in (("random_neighborhoods", 40, 4), ("random_neighborhoods", 12, 1),
+                       ("diam_counterexample", 10, None)):
+        yield generate(GenSpec(kind=kind, n=n, seed=rng.randrange(1000), vertices_per_nb=k,
+                               epsilon=0.1 if k is None else None))
+
+
+def test_solve_stnb_matches_reference():
+    for nbs in _stnb_corpus(random.Random(20201007)):
+        rep, ref = solve_stnb(nbs), solve_stnb_reference(nbs)
+        assert rep.candidate == ref["candidate"]
+        assert list(rep.tree.edges) == ref["edges"]
+        assert rep.representatives == ref["representatives"]
+        assert list(rep.points) == ref["points"]
+        assert rep.length == ref["length"]
+        assert rep.upper_bound == ref["upper_bound"]
+        assert rep.metrics == ref["metrics"]
 
 
 def test_double_star_dominates_anchor_stars_and_edge_floor():
