@@ -28,7 +28,7 @@ print(f"  winning candidate: {rep.candidate}   length {rep.length:.4f}")
 print(f"  candidate lengths: "
       + ", ".join(f"{k}={v:.4f}" for k, v in rep.metrics["candidate_lengths"].items()))
 print(f"  cheap upper bound (n-1)|ab| = {rep.upper_bound:.4f}, "
-      f"ratio to it {rep.ratio_to_upper:.4f}")
+      f"ratio to it {rep.metrics['ratio_to_upper']:.4f}")
 
 opt = exact_stnb(nbs)
 print(f"  exact optimum (assignment enumeration): {opt.length:.4f}")

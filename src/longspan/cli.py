@@ -201,7 +201,7 @@ def _match_representatives(report: SolveReport, nbs: NeighborhoodSet) -> bool:
     for p in report.points:
         colors = {
             nbs.colors[k]
-            for k in range(nbs.total_vertices)
+            for k in range(len(nbs.points))
             if nbs.points[k] == tuple(p)
         }
         if not colors:

@@ -218,7 +218,7 @@ def parse_neighborhoods(text: str) -> NeighborhoodSet:
         return lineno, toks
 
     lineno, toks = take("nbs")
-    if len(toks) != 2 or not toks[1].isdigit():
+    if len(toks) != 2 or not toks[1].isdecimal():
         raise ValueError(f"line {lineno}: malformed header")
     n = int(toks[1])
     seen_colors = set()
@@ -239,7 +239,7 @@ def parse_neighborhoods(text: str) -> NeighborhoodSet:
         polys = []
         for _ in range(npoly):
             lineno, toks = take("poly")
-            if len(toks) != 2 or not toks[1].isdigit() or int(toks[1]) < 1:
+            if len(toks) != 2 or not toks[1].isdecimal() or int(toks[1]) < 1:
                 raise ValueError(f"line {lineno}: malformed polygon header")
             k = int(toks[1])
             ring = []

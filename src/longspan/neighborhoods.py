@@ -43,8 +43,9 @@ class Neighborhood:
 
 class NeighborhoodSet:
     """A collection of uniquely colored neighborhoods, flattened to a vertex
-    array with a parallel color array.  Vertices of one neighborhood occupy a
-    contiguous index range."""
+    array with parallel color and owner arrays: owner[v] is the position of
+    vertex v's neighborhood, whose vertices occupy the contiguous index
+    range ranges[owner[v]]."""
 
     def __init__(self, neighborhoods: Sequence[Neighborhood]):
         if len(neighborhoods) < 2:
@@ -55,33 +56,19 @@ class NeighborhoodSet:
         self.neighborhoods = tuple(neighborhoods)
         self.points: list[Point] = []
         self.colors: list[int] = []
-        self._ranges: dict[int, range] = {}
-        for nb in self.neighborhoods:
+        self.owner: list[int] = []
+        self.ranges: list[range] = []
+        for k, nb in enumerate(self.neighborhoods):
             start = len(self.points)
             for v in nb.vertices():
                 self.points.append(v)
                 self.colors.append(nb.color)
-            self._ranges[nb.color] = range(start, len(self.points))
+                self.owner.append(k)
+            self.ranges.append(range(start, len(self.points)))
 
     @property
     def n(self) -> int:
         return len(self.neighborhoods)
-
-    @property
-    def total_vertices(self) -> int:
-        return len(self.points)
-
-    def color_of(self, vertex: int) -> int:
-        return self.colors[vertex]
-
-    def vertex_indices(self, color: int) -> range:
-        return self._ranges[color]
-
-    def position_of_color(self, color: int) -> int:
-        for k, nb in enumerate(self.neighborhoods):
-            if nb.color == color:
-                return k
-        raise KeyError(color)
 
 
 @dataclass(frozen=True)
@@ -104,13 +91,15 @@ class StnbSolution:
 
 
 def _stnb_solution(
-    nbs: NeighborhoodSet, reps: dict[int, int], edges: Sequence[tuple[int, int]],
+    nbs: NeighborhoodSet, reps: Sequence[int], edges: Sequence[tuple[int, int]],
     candidate: str,
 ) -> StnbSolution:
-    # the solution whose tree joins the neighborhoods' positions by `edges`
+    # the solution whose tree joins the neighborhoods' positions by `edges`,
+    # reps[k] representing the k-th neighborhood
     tree = Tree(nbs.n, tuple(edges))
-    points = [nbs.points[reps[nb.color]] for nb in nbs.neighborhoods]
-    return StnbSolution(reps, tree, candidate, tree_length(tree, points))
+    points = [nbs.points[v] for v in reps]
+    by_color = {nb.color: v for nb, v in zip(nbs.neighborhoods, reps)}
+    return StnbSolution(by_color, tree, candidate, tree_length(tree, points))
 
 
 @dataclass(frozen=True)
@@ -174,38 +163,33 @@ def stnb_label(da: float, db: float, params: StnbParams) -> StnbRegionLabel:
     )
 
 
-def _farthest_row(
-    nbs: NeighborhoodSet, origin: Sequence[float], ranges: Sequence[range] | None = None
-) -> tuple[list[float], list[int]]:
-    # The distances |v origin|, as by dist, from origin to the vertices of
-    # `ranges` (consecutive vertex ranges of nbs, by default all of them),
-    # indexed from the first range's start; and the farthest vertex of each
-    # range, ties to the smallest index.  The candidates' one distance kernel.
-    ranges = ranges or list(nbs._ranges.values())
-    lo = ranges[0].start
+def _farthest_row(nbs: NeighborhoodSet, origin: Sequence[float]) -> tuple[list[float], list[int]]:
+    # The distances |v origin|, as by dist, from origin to every vertex of
+    # nbs, and the farthest vertex of each neighborhood, ties to the smallest
+    # index.  The candidates' one distance kernel.
     ox, oy = origin[0], origin[1]
-    row = [math.hypot(x - ox, y - oy) for x, y in nbs.points[lo:ranges[-1].stop]]
-    return row, [r.start + (seg := row[r.start - lo:r.stop - lo]).index(max(seg)) for r in ranges]
+    row = [math.hypot(x - ox, y - oy) for x, y in nbs.points]
+    return row, [r.start + (seg := row[r.start:r.stop]).index(max(seg)) for r in nbs.ranges]
 
 
 def farthest_vertex_in(nbs: NeighborhoodSet, color: int, origin: Sequence[float]) -> int:
     """Flattened index of the vertex of the given neighborhood farthest from
-    origin; ties break to the smallest index."""
-    return _farthest_row(nbs, origin, [nbs.vertex_indices(color)])[1][0]
+    origin; ties break to the smallest index.  Raises ValueError when no
+    neighborhood has the color."""
+    return _farthest_row(nbs, origin)[1][nbs.owner[nbs.colors.index(color)]]
 
 
 def _double_star(nbs: NeighborhoodSet, a: int, b: int, row_a, far_a, row_b, far_b) -> StnbSolution:
     # build_double_star from the rows of a and b
-    ca, cb = nbs.color_of(a), nbs.color_of(b)
-    if ca == cb:
+    ka, kb = nbs.owner[a], nbs.owner[b]
+    if ka == kb:
         raise ValueError("double-star anchors must have different colors")
-    ka, kb = nbs.position_of_color(ca), nbs.position_of_color(cb)
-    reps = {ca: a, cb: b}
-    edges = [(ka, kb)]
-    for k, nb in enumerate(nbs.neighborhoods):
+    reps, edges = list(far_a), [(ka, kb)]
+    reps[ka], reps[kb] = a, b
+    for k in range(nbs.n):
         if k != ka and k != kb:
             to_a = row_a[far_a[k]] >= row_b[far_b[k]]
-            reps[nb.color] = far_a[k] if to_a else far_b[k]
+            reps[k] = far_a[k] if to_a else far_b[k]
             edges.append((ka if to_a else kb, k))
     return _stnb_solution(nbs, reps, edges, "D")
 
@@ -223,18 +207,16 @@ def build_double_star(nbs: NeighborhoodSet, a: int, b: int) -> StnbSolution:
 
 def _star(nbs: NeighborhoodSet, center: int, far: list[int], candidate: str) -> StnbSolution:
     # longest_spanning_star_nb from the farthest vertices of center's row
-    kc = nbs.position_of_color(nbs.color_of(center))
-    reps = {nbs.color_of(center): center}
-    reps.update((nb.color, far[k]) for k, nb in enumerate(nbs.neighborhoods) if k != kc)
+    kc = nbs.owner[center]
+    reps = list(far)
+    reps[kc] = center
     return _stnb_solution(nbs, reps, [(kc, k) for k in range(nbs.n) if k != kc], candidate)
 
 
-def longest_spanning_star_nb(
-    nbs: NeighborhoodSet, center: int, candidate: str = "star"
-) -> StnbSolution:
+def longest_spanning_star_nb(nbs: NeighborhoodSet, center: int) -> StnbSolution:
     """Longest spanning star centered at a vertex: the center represents its
     own neighborhood and connects to the farthest vertex of every other."""
-    return _star(nbs, center, _farthest_row(nbs, nbs.points[center])[1], candidate)
+    return _star(nbs, center, _farthest_row(nbs, nbs.points[center])[1], "star")
 
 
 def solve_stnb(nbs: NeighborhoodSet) -> SolveReport:
@@ -260,15 +242,15 @@ def solve_stnb(nbs: NeighborhoodSet) -> SolveReport:
     rows_a, rows_b = _farthest_row(nbs, pa), _farthest_row(nbs, pb)
     sums = [da + db for da, db in zip(rows_a[0], rows_b[0])]
     centers = {
-        "S1": rows_a[1][nbs.position_of_color(nbs.color_of(a))],
-        "S2": rows_b[1][nbs.position_of_color(nbs.color_of(b))],
+        "S1": rows_a[1][nbs.owner[a]],
+        "S2": rows_b[1][nbs.owner[b]],
         "S3": sums.index(max(sums)),
     }
     lengths, rows = {}, {}
     for name, center in centers.items():
         # a star's length, its edges added in ascending position as by tree_length
         row, far = rows[name] = _farthest_row(nbs, nbs.points[center])
-        kc = nbs.position_of_color(nbs.color_of(center))
+        kc = nbs.owner[center]
         total = 0.0
         for v in far[:kc] + far[kc + 1:]:
             total += row[v]
@@ -326,9 +308,8 @@ def stnb_region_report(nbs: NeighborhoodSet) -> StnbRegionReport:
     unit = [(dist(p, pa) / ab, dist(p, pb) / ab) for p in nbs.points]
     labels = tuple(stnb_label(da, db, params) for da, db in unit)
     m = sum(
-        all(unit[k][0] < params.core_radius and unit[k][1] < params.core_radius
-            for k in nbs.vertex_indices(nb.color))
-        for nb in nbs.neighborhoods
+        all(unit[k][0] < params.core_radius and unit[k][1] < params.core_radius for k in r)
+        for r in nbs.ranges
     )
     return StnbRegionReport(
         params=params,

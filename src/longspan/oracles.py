@@ -117,9 +117,8 @@ def exact_stnb(nbs: NeighborhoodSet, max_assignments: int = 10**6) -> StnbSoluti
     when the assignment space exceeds max_assignments.  Input where (n - 1)
     times the bichromatic diameter overflows is rejected, as by solve_stnb.
     """
-    ranges = [nbs.vertex_indices(nb.color) for nb in nbs.neighborhoods]
     space = 1
-    for r in ranges:
+    for r in nbs.ranges:
         space *= len(r)
         if space > max_assignments:
             raise ValueError("instance too large for oracle")
@@ -131,13 +130,12 @@ def exact_stnb(nbs: NeighborhoodSet, max_assignments: int = 10**6) -> StnbSoluti
     _check_length_bound(nbs.n - 1, longest)
     best_len = -1.0
     best_assign: tuple[int, ...] | None = None
-    for assign in itertools.product(*ranges):
+    for assign in itertools.product(*nbs.ranges):
         parent, length = _prim(dmat.__getitem__, assign, 0, None)
         if length > best_len:
             best_len, best_assign, best_parent = length, assign, parent
 
-    reps = {nb.color: v for nb, v in zip(nbs.neighborhoods, best_assign)}
-    return _stnb_solution(nbs, reps, [(best_parent[t], t) for t in range(1, nbs.n)], "oracle")
+    return _stnb_solution(nbs, best_assign, [(best_parent[t], t) for t in range(1, nbs.n)], "oracle")
 
 
 @dataclass(frozen=True)

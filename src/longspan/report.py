@@ -29,9 +29,3 @@ class SolveReport:
     guess: tuple[int, int] | None = None
     representatives: dict[int, int] | None = None
     metrics: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def ratio_to_upper(self) -> float | None:
-        if self.upper_bound is None or self.upper_bound == 0:
-            return None
-        return self.length / self.upper_bound

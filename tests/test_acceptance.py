@@ -134,7 +134,7 @@ def test_criterion_4_ratio_guarantee_neighborhoods():
             break
         reps = rep.representatives
         if sorted(reps) != sorted(nb.color for nb in nbs.neighborhoods) or any(
-            nbs.color_of(v) != color for color, v in reps.items()
+            nbs.colors[v] != color for color, v in reps.items()
         ):
             ok, detail = False, f"bad representatives on {spec}"
             break
@@ -182,8 +182,7 @@ def test_criterion_5_lemma_property_suites():
             break
         ab = dist(nbs.points[a], nbs.points[b])
         rep_pts = dstar.representative_points(nbs)
-        ka = nbs.position_of_color(nbs.color_of(a))
-        kb = nbs.position_of_color(nbs.color_of(b))
+        ka, kb = nbs.owner[a], nbs.owner[b]
         for i, j in dstar.tree.edges:
             if {i, j} != {ka, kb}:
                 floor_worst = min(floor_worst, dist(rep_pts[i], rep_pts[j]) - ab / 2)
@@ -287,9 +286,7 @@ def test_criterion_6_adversarial_reproductions():
     assert (nbs.points[i], nbs.points[j]) == ((0.0, 0.0), (2.0, 0.0))
     # forcing edge p0-p2 pins the first region's representative to p0; all
     # other regions are singletons, so the assignment is fully determined
-    rep_pts = [nbs.points[i], nbs.points[j]] + [
-        nbs.points[k] for k in range(3, nbs.total_vertices)
-    ]
+    rep_pts = [nbs.points[i], nbs.points[j], *nbs.points[3:]]
     forced = max_spanning_tree_through(rep_pts, 0, 1)
     forced_len = tree_length(forced, rep_pts)
     opt = exact_stnb(nbs).length

@@ -116,6 +116,18 @@ def test_malformed_tree_file_exits_2(tmp_path, capsys):
         assert "malformed tree file" in capsys.readouterr().err
 
 
+def test_neighborhood_file_with_superscript_count_exits_2(tmp_path, capsys):
+    nbs, tree = tmp_path / "n.nbs", tmp_path / "t.json"
+    assert run("gen", "--kind", "random_neighborhoods", "--n", "3", "--seed", "4",
+               "--out", str(nbs)) == 0
+    assert run("stnb", "--nbs", str(nbs), "--out", str(tree)) == 0
+    nbs.write_text("nbs \u00b2\n", encoding="utf-8")
+    for argv in (("stnb", "--nbs", str(nbs), "--out", str(tree)),
+                 ("check", "--tree", str(tree), "--nbs", str(nbs))):
+        assert run(*argv) == 2
+        assert "line 1: malformed header" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field, value", [("points", [[None, 0], [1, 0]]), ("points", [5, [1, 0]]),
                                           ("length", None), ("length", "x"), ("metrics", 5)])
 def test_tree_file_with_malformed_values_exits_2(tmp_path, capsys, field, value):

@@ -94,15 +94,13 @@ def test_diam_counterexample_forced_edge_is_poor():
     assert bichromatic_diametral_pair(nbs.points, nbs.colors) == (0, 2)
     second = max(
         dist(nbs.points[i], nbs.points[j])
-        for i in range(nbs.total_vertices)
-        for j in range(i + 1, nbs.total_vertices)
+        for i in range(len(nbs.points))
+        for j in range(i + 1, len(nbs.points))
         if nbs.colors[i] != nbs.colors[j] and (i, j) != (0, 2)
     )
     assert second < 2.0
 
-    rep_pts = [nbs.points[0], nbs.points[2]] + [
-        nbs.points[k] for k in range(3, nbs.total_vertices)
-    ]
+    rep_pts = [nbs.points[0], nbs.points[2], *nbs.points[3:]]
     forced = max_spanning_tree_through(rep_pts, 0, 1)
     forced_len = tree_length(forced, rep_pts)
     cap = 2 + (1 + eps) * (n - 2)
@@ -175,6 +173,11 @@ def test_neighborhood_file_errors():
         parse_neighborhoods("nbs x\n")
     with pytest.raises(ValueError, match="expected 'poly'"):
         parse_neighborhoods("nbs 2\nnb 1 1\n0 0\nnb 2 1\npoly 1\n1 0\n")
+    # superscript counts: str.isdigit accepts them, int() does not
+    with pytest.raises(ValueError, match="line 1: malformed header"):
+        parse_neighborhoods("nbs \u00b2\n")
+    with pytest.raises(ValueError, match="line 3: malformed polygon header"):
+        parse_neighborhoods("nbs 2\nnb 1 1\npoly \u00b3\n0 0\n")
 
 
 def test_tree_file_roundtrip_and_errors():

@@ -52,8 +52,23 @@ def test_neighborhood_set_invariants():
     with pytest.raises(ValueError, match="polygon vertex"):
         Neighborhood(1, ())
     nbs = _singletons((0, 0), (1, 0))
-    assert nbs.n == 2 and nbs.total_vertices == 2
+    assert nbs.n == 2 and len(nbs.points) == 2
     assert nbs.colors == [1, 2]
+    # owner and ranges index neighborhoods by position, whatever the colors
+    nbs = NeighborhoodSet([
+        Neighborhood(7, (((0, 0), (1, 0)), ((2, 2),))),
+        Neighborhood(2, (((5, 5),), ((6, 5), (6, 6), (5, 6)))),
+        Neighborhood(5, (((9, 0),),)),
+    ])
+    assert nbs.colors == [7, 7, 7, 2, 2, 2, 2, 5]
+    assert nbs.owner == [0, 0, 0, 1, 1, 1, 1, 2]
+    assert nbs.ranges == [range(0, 3), range(3, 7), range(7, 8)]
+    assert all(nbs.colors[v] == nbs.neighborhoods[nbs.owner[v]].color for v in range(len(nbs.points)))
+    # contiguous ranges that cover every vertex, each owned by its position
+    assert [v for r in nbs.ranges for v in r] == list(range(len(nbs.points)))
+    assert all(nbs.owner[v] == k for k, r in enumerate(nbs.ranges) for v in r)
+    for nb, r in zip(nbs.neighborhoods, nbs.ranges):
+        assert [nbs.points[v] for v in r] == list(nb.vertices())
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -84,6 +99,8 @@ def test_farthest_vertex_in():
     pair = Neighborhood(3, (((0, 1), (0, -1)),))
     nbs = NeighborhoodSet([pair, other])
     assert farthest_vertex_in(nbs, 3, (0, 0)) == 0
+    with pytest.raises(ValueError, match="^7 is not in list$"):
+        farthest_vertex_in(nbs, 7, (0, 0))
 
 
 def test_build_double_star_hand_checked_tie():
@@ -129,7 +146,7 @@ def test_longest_spanning_star_examples():
     i, j = bichromatic_diametral_pair(nbs.points, nbs.colors)
     diam = dist(nbs.points[i], nbs.points[j])
     best = max(
-        longest_spanning_star_nb(nbs, c).length for c in range(nbs.total_vertices)
+        longest_spanning_star_nb(nbs, c).length for c in range(len(nbs.points))
     )
     assert best == pytest.approx(diam, abs=1e-12)
 
@@ -185,7 +202,7 @@ def test_solve_stnb_report_fields():
     assert set(rep.representatives) == {nb.color for nb in nbs.neighborhoods}
     # exactly one representative per color, drawn from that neighborhood
     for color, v in rep.representatives.items():
-        assert nbs.color_of(v) == color
+        assert nbs.colors[v] == color
 
 
 def _stnb_corpus(rng):
@@ -238,8 +255,7 @@ def test_double_star_dominates_anchor_stars_and_edge_floor():
         # every edge other than ab is at least half the diameter
         ab = dist(nbs.points[a], nbs.points[b])
         rep_pts = sol.representative_points(nbs)
-        ka = nbs.position_of_color(nbs.color_of(a))
-        kb = nbs.position_of_color(nbs.color_of(b))
+        ka, kb = nbs.owner[a], nbs.owner[b]
         for i, j in sol.tree.edges:
             if {i, j} == {ka, kb}:
                 continue
