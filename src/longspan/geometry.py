@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from itertools import repeat
 from numbers import Integral, Rational, Real
 from typing import Iterable, NamedTuple, Sequence
 
@@ -70,6 +71,21 @@ def _check_finite(points: Iterable[Sequence[float]]) -> None:
 def dist(p: Sequence[float], q: Sequence[float]) -> float:
     """Euclidean distance between two points."""
     return math.hypot(p[0] - q[0], p[1] - q[1])
+
+
+def _dist_row(
+    points: Sequence[Sequence[float]], origin: Sequence[float], floats: bool
+) -> list[float]:
+    # dist(p, origin) for every point p.  When every coordinate of the points
+    # and of origin is a Python float, math.dist builds the row in C: on
+    # doubles it takes the same absolute differences through the same norm
+    # as math.hypot, so each distance is bit-identical.  Other input keeps
+    # hypot of the differences: an int or Fraction difference is exact
+    # before hypot rounds it, while math.dist would round each coordinate.
+    if floats:
+        return list(map(math.dist, points, repeat(origin)))
+    ox, oy = origin[0], origin[1]
+    return [math.hypot(x - ox, y - oy) for x, y in points]
 
 
 def orientation(p: Sequence[float], q: Sequence[float], r: Sequence[float]) -> int:
@@ -219,7 +235,7 @@ def _check_length_bound(edges: int, longest: float) -> None:
 
 
 def _farthest_pair(
-    points: Sequence[Sequence[float]], colors: Sequence[int]
+    points: Sequence[Sequence[float]], colors: Sequence[int], floats: bool = False
 ) -> tuple[int, int] | None:
     # The first pair in index order, of two colors, with the largest dist;
     # None when there is none.  Only points that can end such a pair enter
@@ -237,33 +253,43 @@ def _farthest_pair(
     # 2^-45 (Mx + My) and 2^-1060 absolute, covers that many times over.  A
     # dist that overflows needs r_i + R near the largest double, hence the
     # cap on L; an r that overflows makes every r_k + R infinite, so all
-    # points are kept.
+    # points are kept.  floats=True says that the caller has found every
+    # coordinate a Python float, and spares the scan its own type test; the
+    # scan then takes r and the sweeps with math.dist (see _dist_row).
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
-    if not set(map(type, xs + ys)) <= {float, int}:
-        xs, ys = list(map(_scalar, xs)), list(map(_scalar, ys))
+    if not floats:
+        types = set(map(type, xs + ys))
+        floats = types <= {float}
+        if not types <= {float, int}:
+            xs, ys = list(map(_scalar, xs)), list(map(_scalar, ys))
         points = list(zip(xs, ys))
     try:
         finite = all(map(math.isfinite, xs + ys))
     except OverflowError:
         finite = False
     if not finite:
-        _check_finite(zip(xs, ys))
+        _check_finite(points)
     if not xs:
         return None
     x0, x1, y0, y1 = (0.5 * v for v in _bounding_box(xs, ys))
     gx, gy = x0 + x1, y0 + y1
     mxy = max(abs(x0), abs(x1)) + max(abs(y0), abs(y1))  # (Mx + My) / 2
-    r = [math.hypot(x - gx, y - gy) for x, y in zip(xs, ys)]
+    r = _dist_row(points, (gx, gy), floats)
     big = max(r)
     t = r.index(big)  # L: two farthest-point sweeps over the other colors
     for _ in range(2):
-        px, py, c = xs[t], ys[t], colors[t]
-        row = [math.hypot(px - x, py - y) if ck != c else -1.0 for x, y, ck in zip(xs, ys, colors)]
+        c = colors[t]
+        row = _dist_row(points, points[t], floats)
         far = max(row)
-        if far < 0.0:
-            return None
-        t = len(row) - 1 - row[::-1].index(far)  # the last farthest point
+        last = len(row) - 1 - row[::-1].index(far)  # the last farthest point
+        if colors[last] == c:  # it has t's color: leave that color out
+            row = [d if ck != c else -1.0 for d, ck in zip(row, colors)]
+            far = max(row)
+            if far < 0.0:
+                return None
+            last = len(row) - 1 - row[::-1].index(far)
+        t = last
     cut = min(far, sys.float_info.max) * (1.0 - 2.0**-40) - 2.0**-44 * mxy - 2.0**-1060
     keep = [k for k in range(len(points)) if r[k] + big >= cut]
     # only a strictly larger distance replaces the pair: ties keep the first

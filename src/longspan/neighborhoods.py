@@ -7,9 +7,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain
+from operator import add, ge, itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
-from .geometry import Point, _check_length_bound, as_points, bichromatic_diametral_pair, dist
+from .geometry import (
+    Point, _check_length_bound, _dist_row, _farthest_pair, as_points, bichromatic_diametral_pair,
+    dist,
+)
 from .report import SolveReport
 from .trees import Tree, tree_length
 
@@ -92,14 +98,16 @@ class StnbSolution:
 
 def _stnb_solution(
     nbs: NeighborhoodSet, reps: Sequence[int], edges: Sequence[tuple[int, int]],
-    candidate: str,
+    candidate: str, length: float | None = None,
 ) -> StnbSolution:
     # the solution whose tree joins the neighborhoods' positions by `edges`,
-    # reps[k] representing the k-th neighborhood
+    # reps[k] representing the k-th neighborhood; length, when given, is
+    # the tree's length as tree_length sums it
     tree = Tree(nbs.n, tuple(edges))
-    points = [nbs.points[v] for v in reps]
+    if length is None:
+        length = tree_length(tree, [nbs.points[v] for v in reps])
     by_color = {nb.color: v for nb, v in zip(nbs.neighborhoods, reps)}
-    return StnbSolution(by_color, tree, candidate, tree_length(tree, points))
+    return StnbSolution(by_color, tree, candidate, length)
 
 
 @dataclass(frozen=True)
@@ -163,35 +171,59 @@ def stnb_label(da: float, db: float, params: StnbParams) -> StnbRegionLabel:
     )
 
 
-def _farthest_row(nbs: NeighborhoodSet, origin: Sequence[float]) -> tuple[list[float], list[int]]:
+def _row_args(nbs: NeighborhoodSet, *origins: Sequence[float]) -> tuple[bool, list[slice]]:
+    # what the rows of one call share: whether every coordinate of nbs's
+    # vertices and of the origins is a Python float, and nbs.ranges as slices
+    coords = chain.from_iterable(chain(nbs.points, origins))
+    return set(map(type, coords)) == {float}, [slice(r.start, r.stop) for r in nbs.ranges]
+
+
+def _farthest_row(
+    nbs: NeighborhoodSet, origin: Sequence[float], floats: bool, spans: list[slice]
+) -> tuple[list[float], list[float]]:
     # The distances |v origin|, as by dist, from origin to every vertex of
-    # nbs, and the farthest vertex of each neighborhood, ties to the smallest
-    # index.  The candidates' one distance kernel.
-    ox, oy = origin[0], origin[1]
-    row = [math.hypot(x - ox, y - oy) for x, y in nbs.points]
-    return row, [r.start + (seg := row[r.start:r.stop]).index(max(seg)) for r in nbs.ranges]
+    # nbs, and each neighborhood's largest one.  The candidates' one
+    # distance kernel.  floats and spans are _row_args': when floats is
+    # True, math.dist builds the row (see geometry._dist_row).
+    row = _dist_row(nbs.points, origin, floats)
+    return row, list(map(max, map(row.__getitem__, spans)))
+
+
+def _farthest(nbs: NeighborhoodSet, row: list[float], top: list[float]) -> list[int]:
+    # the vertex of each neighborhood farthest from row's origin, ties to
+    # the smallest index
+    return [row.index(m, r.start, r.stop) for m, r in zip(top, nbs.ranges)]
 
 
 def farthest_vertex_in(nbs: NeighborhoodSet, color: int, origin: Sequence[float]) -> int:
     """Flattened index of the vertex of the given neighborhood farthest from
     origin; ties break to the smallest index.  Raises ValueError when no
     neighborhood has the color."""
-    return _farthest_row(nbs, origin)[1][nbs.owner[nbs.colors.index(color)]]
+    row = _farthest_row(nbs, origin, *_row_args(nbs, origin))
+    return _farthest(nbs, *row)[nbs.owner[nbs.colors.index(color)]]
 
 
-def _double_star(nbs: NeighborhoodSet, a: int, b: int, row_a, far_a, row_b, far_b) -> StnbSolution:
-    # build_double_star from the rows of a and b
+def _double_star(
+    nbs: NeighborhoodSet, a: int, b: int, far_a, top_a, far_b, top_b
+) -> tuple[float, list[int], list[tuple[int, int]]]:
+    # build_double_star from the farthest vertices of a and b: its length,
+    # representatives and sorted edges.  The length adds each edge's
+    # distance from the rows in sorted edge order, as tree_length does; the
+    # (i, j, length) triples sort by edge, since no two share one.
     ka, kb = nbs.owner[a], nbs.owner[b]
     if ka == kb:
         raise ValueError("double-star anchors must have different colors")
-    reps, edges = list(far_a), [(ka, kb)]
+    to_a = list(map(ge, top_a, top_b))
+    reps = [fa if t else fb for fa, fb, t in zip(far_a, far_b, to_a)]
     reps[ka], reps[kb] = a, b
-    for k in range(nbs.n):
-        if k != ka and k != kb:
-            to_a = row_a[far_a[k]] >= row_b[far_b[k]]
-            reps[k] = far_a[k] if to_a else far_b[k]
-            edges.append((ka if to_a else kb, k))
-    return _stnb_solution(nbs, reps, edges, "D")
+    # every position but kb joins a hub: ka joins kb, the others a or b
+    hubs = [ka if t else kb for t in to_a]
+    lengths = [ta if t else tb for ta, tb, t in zip(top_a, top_b, to_a)]
+    hubs[ka], lengths[ka] = kb, dist(nbs.points[a], nbs.points[b])
+    edges = sorted(
+        [(k, h, d) if k < h else (h, k, d) for k, h, d in zip(range(nbs.n), hubs, lengths) if k != kb]
+    )
+    return reduce(add, map(itemgetter(2), edges), 0.0), reps, [(i, j) for i, j, _ in edges]
 
 
 def build_double_star(nbs: NeighborhoodSet, a: int, b: int) -> StnbSolution:
@@ -202,21 +234,32 @@ def build_double_star(nbs: NeighborhoodSet, a: int, b: int) -> StnbSolution:
     Every non-ab edge has length at least |ab|/2 whenever (a, b) is a
     bichromatic diametral pair.
     """
-    return _double_star(nbs, a, b, *_farthest_row(nbs, nbs.points[a]), *_farthest_row(nbs, nbs.points[b]))
+    args = _row_args(nbs)
+    (row_a, top_a), (row_b, top_b) = (_farthest_row(nbs, nbs.points[v], *args) for v in (a, b))
+    far_a, far_b = _farthest(nbs, row_a, top_a), _farthest(nbs, row_b, top_b)
+    length, reps, edges = _double_star(nbs, a, b, far_a, top_a, far_b, top_b)
+    return _stnb_solution(nbs, reps, edges, "D", length)
 
 
-def _star(nbs: NeighborhoodSet, center: int, far: list[int], candidate: str) -> StnbSolution:
-    # longest_spanning_star_nb from the farthest vertices of center's row
+def _star_length(top: list[float], kc: int) -> float:
+    # the length of the star at position kc over the farthest distances
+    # top, its edges (kc, k) added in ascending k as by tree_length
+    return reduce(add, top[:kc] + top[kc + 1:], 0.0)
+
+
+def _star(nbs: NeighborhoodSet, center: int, row, top, candidate: str) -> StnbSolution:
+    # longest_spanning_star_nb from center's row
     kc = nbs.owner[center]
-    reps = list(far)
+    reps = _farthest(nbs, row, top)
     reps[kc] = center
-    return _stnb_solution(nbs, reps, [(kc, k) for k in range(nbs.n) if k != kc], candidate)
+    edges = [(kc, k) for k in range(nbs.n) if k != kc]
+    return _stnb_solution(nbs, reps, edges, candidate, _star_length(top, kc))
 
 
 def longest_spanning_star_nb(nbs: NeighborhoodSet, center: int) -> StnbSolution:
     """Longest spanning star centered at a vertex: the center represents its
     own neighborhood and connects to the farthest vertex of every other."""
-    return _star(nbs, center, _farthest_row(nbs, nbs.points[center])[1], "star")
+    return _star(nbs, center, *_farthest_row(nbs, nbs.points[center], *_row_args(nbs)), "star")
 
 
 def solve_stnb(nbs: NeighborhoodSet) -> SolveReport:
@@ -229,36 +272,38 @@ def solve_stnb(nbs: NeighborhoodSet) -> SolveReport:
     order S1, S2, S3, D.  Linear after the diametral pair, whose scan is
     near-linear on spread-out vertices and O(N^2) when all lie on a circle.
     The linear part builds one distance row per origin (a, b and the three
-    centres) and sums a losing star without building its tree.  On
-    spread-out input the scan is about 30% of a call and each row about
-    10%; README's Scale section gives each phase's cost.
+    centres), in C when every coordinate is a float, and sums each
+    candidate's length from the rows; only the winner's tree is built.  On
+    spread-out float input the scan is about 30% of a call, each row about
+    9%, and the float test with the neighborhoods' slices 7%; README's
+    Scale section gives each phase's cost.
     Raises ValueError when (n - 1) * |ab| overflows a double.
     """
-    a, b = bichromatic_diametral_pair(nbs.points, nbs.colors)
+    floats, spans = _row_args(nbs)
+    a, b = _farthest_pair(nbs.points, nbs.colors, floats)  # a set has two colors
     pa, pb = nbs.points[a], nbs.points[b]
     ab = dist(pa, pb)
     _check_length_bound(nbs.n - 1, ab)
 
-    rows_a, rows_b = _farthest_row(nbs, pa), _farthest_row(nbs, pb)
-    sums = [da + db for da, db in zip(rows_a[0], rows_b[0])]
+    row_a, top_a = _farthest_row(nbs, pa, floats, spans)
+    row_b, top_b = _farthest_row(nbs, pb, floats, spans)
+    far_a, far_b = _farthest(nbs, row_a, top_a), _farthest(nbs, row_b, top_b)
+    sums = list(map(add, row_a, row_b))
     centers = {
-        "S1": rows_a[1][nbs.owner[a]],
-        "S2": rows_b[1][nbs.owner[b]],
+        "S1": far_a[nbs.owner[a]],
+        "S2": far_b[nbs.owner[b]],
         "S3": sums.index(max(sums)),
     }
     lengths, rows = {}, {}
     for name, center in centers.items():
-        # a star's length, its edges added in ascending position as by tree_length
-        row, far = rows[name] = _farthest_row(nbs, nbs.points[center])
-        kc = nbs.owner[center]
-        total = 0.0
-        for v in far[:kc] + far[kc + 1:]:
-            total += row[v]
-        lengths[name] = total
-    double = _double_star(nbs, a, b, *rows_a, *rows_b)
-    lengths["D"] = double.length
+        row, top = rows[name] = _farthest_row(nbs, nbs.points[center], floats, spans)
+        lengths[name] = _star_length(top, nbs.owner[center])
+    lengths["D"], reps, edges = _double_star(nbs, a, b, far_a, top_a, far_b, top_b)
     name = max(lengths, key=lengths.get)  # the first of equal lengths
-    winner = double if name == "D" else _star(nbs, centers[name], rows[name][1], name)
+    if name == "D":
+        winner = _stnb_solution(nbs, reps, edges, "D", lengths["D"])
+    else:
+        winner = _star(nbs, centers[name], *rows[name], name)
 
     upper = (nbs.n - 1) * ab
     return SolveReport(

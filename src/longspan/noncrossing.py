@@ -27,6 +27,13 @@ from .trees import Tree, is_noncrossing, star, tree_length, validate_spanning_tr
 DELTA_NONCROSSING = 0.519
 STRIP_OMEGA = 0.16
 BETA_HAT = 0.44
+# Below this |ab|, omega*|ab| and (1 - omega)*|ab| can round to the same
+# subnormal, and the projections that decide a strip lose their low bits.
+# _strip_split then works on the offsets from a scaled up by a power of
+# two, which is exact, until the largest lies in [1/2, 1).  Above it the
+# strip lines, at least omega*|ab| > 2^-963, and the projections near them
+# are normal doubles, and the points' own frame is kept.
+_STRIP_MIN_AB = 2.0**-960
 
 
 @dataclass(frozen=True)
@@ -115,19 +122,28 @@ def ncst_label(da: float, db: float, strip: str, params: NcstParams) -> PointLab
 
 
 def _strip_split(points: Sequence[Sequence[float]], a: int, b: int) -> tuple:
-    """|ab|, the unit vector from a to b, every point's projection x onto it
-    (measured from a) and its strip: "left" for x < omega*|ab|, "right" for
-    x > (1 - omega)*|ab|, "middle" between, the strip lines included.
-    Raises ValueError when a and b coincide."""
+    """|ab|, every point's coordinates in the frame of the guess, measured
+    from a (x along the unit vector from a to b, y across it), and its
+    strip: "left" for x < omega*|ab|, "right" for x > (1 - omega)*|ab|,
+    "middle" between, the strip lines included.  Below _STRIP_MIN_AB the
+    frame is that of the offsets from a scaled by a power of two, so that
+    the strip lines stay apart.  Raises ValueError when a and b coincide."""
     pa, pb = points[a], points[b]
-    ab = dist(pa, pb)
+    ab = unit = dist(pa, pb)
     if ab == 0.0:
         raise ValueError("guess points coincide")
-    ux, uy = (pb[0] - pa[0]) / ab, (pb[1] - pa[1]) / ab
-    l1, l2 = STRIP_OMEGA * ab, (1.0 - STRIP_OMEGA) * ab
+    if ab < _STRIP_MIN_AB:
+        off = [(p[0] - pa[0], p[1] - pa[1]) for p in points]
+        e = min(math.frexp(max(abs(c) for o in off for c in o))[1], 0)
+        points = [(math.ldexp(dx, -e), math.ldexp(dy, -e)) for dx, dy in off]
+        pa, pb = points[a], points[b]
+        unit = dist(pa, pb)
+    ux, uy = (pb[0] - pa[0]) / unit, (pb[1] - pa[1]) / unit
+    l1, l2 = STRIP_OMEGA * unit, (1.0 - STRIP_OMEGA) * unit
     xs = [(p[0] - pa[0]) * ux + (p[1] - pa[1]) * uy for p in points]
+    ys = [-(p[0] - pa[0]) * uy + (p[1] - pa[1]) * ux for p in points]
     strips = ["left" if x < l1 else ("right" if x > l2 else "middle") for x in xs]
-    return ab, (ux, uy), xs, strips
+    return ab, xs, ys, strips
 
 
 def classify_points(points: Sequence[Sequence[float]], a: int, b: int) -> RegionClassifier:
@@ -194,15 +210,12 @@ def _anchored_tree(
     if root == far:
         raise ValueError("guess endpoints must differ")
     try:
-        _, (ux, uy), xs, strips = _strip_split(points, root, far)
+        _, xs, ys, strips = _strip_split(points, root, far)
     except ValueError:  # the guess points coincide
         return NcstCandidate(None, tag, guess, False)
     pa = points[root]
     # every point's angle about the root from the direction of far, in [-pi, pi)
-    theta = [
-        math.atan2(-(p[0] - pa[0]) * uy + (p[1] - pa[1]) * ux, x) for p, x in zip(points, xs)
-    ]
-    theta = [-math.pi if th == math.pi else th for th in theta]
+    theta = [-math.pi if th == math.pi else th for th in map(math.atan2, ys, xs)]
 
     groups = {"left": [], "middle": [], "right": []}
     for k, strip in enumerate(strips):

@@ -25,7 +25,7 @@ class Tree:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        norm = tuple(sorted((min(i, j), max(i, j)) for i, j in self.edges))
+        norm = tuple(sorted([(i, j) if i <= j else (j, i) for i, j in self.edges]))
         object.__setattr__(self, "edges", norm)
 
 

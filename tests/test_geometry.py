@@ -141,6 +141,22 @@ def test_orientation_antisymmetry_and_cyclic_invariance():
         assert s == orientation(q, r, p) == orientation(r, p, q)
 
 
+def test_math_dist_matches_dist_on_doubles():
+    # the float fast path of the distance rows relies on this identity
+    rng = random.Random(53)
+    pairs = [((0.0, 0.0), (5e-324, 0.0)), ((-0.0, 5e-324), (5e-324, -0.0)),
+             ((1.7e308, -1.7e308), (-1.7e308, 1.7e308)), ((-1e308, 0.0), (1e308, 1e308))]
+    for e in (-1074, -1060, -1022, -500, 0, 500, 1000, 1022):
+        for _ in range(200):
+            pairs.append(tuple((math.ldexp(rng.uniform(-1, 1), e), math.ldexp(rng.uniform(-1, 1), e))
+                               for _ in range(2)))
+    for p, q in pairs:
+        assert math.dist(p, q) == dist(p, q), (p, q)
+    points = [p for p, _ in pairs]
+    for origin in ((0.0, 0.0), points[5], points[-1]):
+        assert geometry._dist_row(points, origin, True) == geometry._dist_row(points, origin, False)
+
+
 def test_orientation_underflowed_products_are_not_collinear():
     # both products underflow to 0.0 in doubles; the triangle is still left
     assert orientation((0, 0), (1e-300, 0), (0, 1e-300)) == LEFT

@@ -19,7 +19,7 @@ from longspan.neighborhoods import (
 from longspan.oracles import exact_stnb
 from longspan.trees import validate_spanning_tree
 
-from helpers import solve_stnb_reference
+from helpers import farthest_pair_reference, solve_stnb_reference
 
 
 def _singletons(*pts) -> NeighborhoodSet:
@@ -240,6 +240,34 @@ def test_solve_stnb_matches_reference():
         assert rep.length == ref["length"]
         assert rep.upper_bound == ref["upper_bound"]
         assert rep.metrics == ref["metrics"]
+
+
+def test_solve_stnb_keeps_exact_differences_of_ints_and_fractions():
+    # Offsets from (2^53, 0) in ints, and from (1, 0) in steps of 1e-20 in
+    # Fractions: a difference of two coordinates is exact, while rounding
+    # each coordinate to a double first, as math.dist does, changes which
+    # vertex of the third neighborhood is farthest.  Only all-float input
+    # may take the math.dist rows.
+    offsets = [[(-2, -3), (-2, 0)], [(-2, -4), (-3, 4)], [(-4, -1), (1, 0)]]
+    tiny = Fraction(1, 10**20)
+    for x0, step in ((2**53, 1), (Fraction(1), tiny)):
+        rings = [[(x0 + dx * step, dy * step) for dx, dy in ring] for ring in offsets]
+        exact, rounded = (
+            NeighborhoodSet([Neighborhood(k + 1, (tuple((cast(x), cast(y)) for x, y in ring),))
+                             for k, ring in enumerate(rings)])
+            for cast in (type(x0), float)
+        )
+        ref = solve_stnb_reference(exact)
+        # the two paths tell apart on this set
+        assert ref["representatives"] != solve_stnb_reference(rounded)["representatives"]
+        rep = solve_stnb(exact)
+        assert rep.candidate == ref["candidate"]
+        assert list(rep.tree.edges) == ref["edges"]
+        assert rep.representatives == ref["representatives"]
+        assert rep.length == ref["length"]
+        assert rep.metrics == ref["metrics"]
+        assert bichromatic_diametral_pair(exact.points, exact.colors) == farthest_pair_reference(
+            exact.points, exact.colors)
 
 
 def test_double_star_dominates_anchor_stars_and_edge_floor():

@@ -6,6 +6,7 @@ import pytest
 from longspan.geometry import dist
 from longspan.instances import GenSpec, generate
 from longspan.noncrossing import (
+    _strip_split,
     build_Ta,
     build_Tb,
     classify_points,
@@ -120,6 +121,17 @@ def test_build_Tb_mirrors_Ta():
     mirrored = build_Ta(pts, 5, 2)
     assert tb.tree.edges == mirrored.tree.edges
     assert ta.guess == tb.guess == (2, 5)
+
+
+def test_strip_split_keeps_subnormal_strip_lines_apart():
+    # at |ab| = 2^-1074, omega*|ab| and (1 - omega)*|ab| round to 0 and to
+    # |ab| itself, which would put b on the far strip line
+    assert build_Ta([(0.0, 0.0), (5e-324, 0.0)], 0, 1).tree.edges == ((0, 1),)
+    pts = [(0.0, 0.0), (40.0, 0.0), (3.0, 5.0), (20.0, -7.0), (38.0, 9.0), (6.0, -2.0), (33.0, 1.0)]
+    tiny = [(math.ldexp(x, -1074), math.ldexp(y, -1074)) for x, y in pts]
+    assert _strip_split(tiny, 0, 1)[3] == _strip_split(pts, 0, 1)[3]
+    for build in (build_Ta, build_Tb):
+        assert build(tiny, 0, 1).tree == build(pts, 0, 1).tree
 
 
 def test_solve_ncst_two_points():
