@@ -207,6 +207,60 @@ def segments_cross(s1: Sequence, s2: Sequence) -> bool:
     )
 
 
+def _segment(p: Sequence[float], q: Sequence[float]) -> tuple:
+    # Segment pq in the form _first_crossing takes: the endpoints as tuples,
+    # then the closed bounding box (min x, max x, min y, max y).
+    p, q = tuple(p), tuple(q)
+    return p, q, min(p[0], q[0]), max(p[0], q[0]), min(p[1], q[1]), max(p[1], q[1])
+
+
+def _first_crossing(s: tuple, segs: Sequence[tuple], start: int = 0) -> int:
+    # The first position m >= start whose segment in segs crosses s, by
+    # segments_cross, or -1; all in _segment's form, none of length zero.
+    # Each sign is orientation's float filter inline, whose bound holds for
+    # any base vertex, so a sure sign is the exact sign.  A pair is decided
+    # here only on sure signs, as segments_cross would: disjoint boxes, or c
+    # and d strictly on one side of line ab (a and b of cd), do not meet; a
+    # straddle both ways crosses; far ends off one line through a shared
+    # endpoint (by value) do not cross.  segments_cross decides the rest.
+    a, b, x0, x1, y0, y1 = s
+    (ax, ay), (bx, by) = a, b
+    abx, aby = bx - ax, by - ay
+    err, tiny = _ORIENT_ERRBOUND, _ORIENT_MIN_DETSUM
+    for m in range(start, len(segs)):
+        c, d, u0, u1, v0, v1 = segs[m]
+        if not (u0 <= x1 and x0 <= u1 and v0 <= y1 and y0 <= v1):
+            continue
+        (cx, cy), (dx, dy) = c, d
+        far = (d if cx == ax and cy == ay or cx == bx and cy == by
+               else c if dx == ax and dy == ay or dx == bx and dy == by else None)
+        if far is not None:
+            left, right = abx * (far[1] - ay), aby * (far[0] - ax)
+            o, so = left - right, abs(left) + abs(right)
+            if abs(o) > err * so and so >= tiny:
+                continue
+        else:
+            left, right = abx * (cy - ay), aby * (cx - ax)
+            oc, sc = left - right, abs(left) + abs(right)
+            left, right = abx * (dy - ay), aby * (dx - ax)
+            od, sd = left - right, abs(left) + abs(right)
+            if abs(oc) > err * sc and sc >= tiny and abs(od) > err * sd and sd >= tiny:
+                if (oc > 0) == (od > 0):
+                    continue
+                cdx, cdy = dx - cx, dy - cy
+                left, right = cdx * (ay - cy), cdy * (ax - cx)
+                oa, sa = left - right, abs(left) + abs(right)
+                left, right = cdx * (by - cy), cdy * (bx - cx)
+                ob, sb = left - right, abs(left) + abs(right)
+                if abs(oa) > err * sa and sa >= tiny and abs(ob) > err * sb and sb >= tiny:
+                    if (oa > 0) != (ob > 0):
+                        return m
+                    continue
+        if segments_cross((a, b), (c, d)):
+            return m
+    return -1
+
+
 def _bounding_box(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, float, float]:
     # (min x, max x, min y, max y) of finite coordinates.  Raises ValueError
     # when an axis's extent or the box's diagonal overflows a double, since

@@ -10,7 +10,7 @@ from itertools import repeat
 from operator import neg
 from typing import Callable, Sequence
 
-from .geometry import Point, as_points, dist, segments_cross
+from .geometry import Point, _first_crossing, _segment, as_points, dist
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,23 +82,22 @@ def is_noncrossing(
 
     Returns (True, None) or (False, first crossing edge pair).  Edges that
     share an endpoint index still get tested: collinear overlaps through a
-    shared vertex count as crossings.  A pair whose closed bounding boxes
-    are disjoint cannot meet and is skipped; the comparisons are exact, so
-    the first crossing pair is the full scan's.  A tree with two or more
-    edges and a zero-length one raises ValueError before any pair is tested.
+    shared vertex count as crossings.  A filtered kernel skips pairs with
+    disjoint closed boxes and decides those whose orientation signs are
+    sure, hence exact; segments_cross decides the rest.  So the verdict and
+    the first crossing pair are the full segments_cross scan's.  A tree
+    with two or more edges and a zero-length one raises ValueError first.
     """
     edges = tree.edges
-    prepared = []
+    segs = []
     for i, j in edges:
-        p, q = tuple(points[i]), tuple(points[j])
-        if p == q and len(edges) > 1:
+        s = _segment(points[i], points[j])
+        if s[0] == s[1] and len(edges) > 1:
             raise ValueError(f"zero-length edge ({i}, {j})")
-        prepared.append(((p, q), min(p[0], q[0]), max(p[0], q[0]), min(p[1], q[1]), max(p[1], q[1])))
-    for k, (s1, x0, x1, y0, y1) in enumerate(prepared):
-        for m in range(k + 1, len(prepared)):
-            s2, u0, u1, v0, v1 = prepared[m]
-            if u0 <= x1 and x0 <= u1 and v0 <= y1 and y0 <= v1 and segments_cross(s1, s2):
-                return False, (edges[k], edges[m])
+        segs.append(s)
+    for k, s in enumerate(segs):
+        if (m := _first_crossing(s, segs, k + 1)) >= 0:
+            return False, (edges[k], edges[m])
     return True, None
 
 
@@ -261,10 +260,11 @@ def fermat_point(
             length = dist(pts[v], pts[u]) + dist(pts[v], pts[w])
             return Fermat3Result(pts[v], length, v)
         den.append(denom)
-    # the weights 1 / den[v], multiplied through by den[0] * den[1] * den[2]
+    # the weights 1 / den[v], multiplied through by den[0] * den[1] * den[2];
+    # sums go left to right, as sum() did before Python 3.12 compensated it
     wts = (den[1] * den[2], den[0] * den[2], den[0] * den[1])
-    wsum = sum(wts)
-    sx = sum(wt * r[0] for wt, r in zip(wts, rel)) / wsum
-    sy = sum(wt * r[1] for wt, r in zip(wts, rel)) / wsum
+    wsum = wts[0] + wts[1] + wts[2]
+    sx = (wts[0] * rel[0][0] + wts[1] * rel[1][0] + wts[2] * rel[2][0]) / wsum
+    sy = (wts[0] * rel[0][1] + wts[1] * rel[1][1] + wts[2] * rel[2][1]) / wsum
     sp = Point(pts[0].x + math.ldexp(sx, e), pts[0].y + math.ldexp(sy, e))
-    return Fermat3Result(sp, sum(dist(sp, p) for p in pts), None)
+    return Fermat3Result(sp, dist(sp, pts[0]) + dist(sp, pts[1]) + dist(sp, pts[2]), None)

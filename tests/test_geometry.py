@@ -9,6 +9,8 @@ from longspan.geometry import (
     COLLINEAR,
     LEFT,
     RIGHT,
+    _first_crossing,
+    _segment,
     as_points,
     bichromatic_diametral_pair,
     diametral_pair,
@@ -265,6 +267,89 @@ def test_segments_cross_matches_reference_on_lattice_pairs(scale):
                 for s2 in ((c, d), (d, c)):
                     assert segments_cross(s1, s2) == segments_cross(s2, s1) == want, (s1, s2)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize(
+    "scale", [1, 1.0, 2.0**-540, 2.0**500, 2.0**-500, Fraction(1, 3)],
+    ids=["int", "1", "2^-540", "2^500", "2^-500", "Fraction"],
+)
+def test_first_crossing_matches_reference_on_lattice_pairs(scale, monkeypatch):
+    # is_noncrossing's filtered kernel on every pair of segments between
+    # points of a 3x3 lattice, the same segment and shared endpoints
+    # included, in every endpoint and argument order.  At 2^-540 every
+    # orientation product underflows, so the filter must defer each pair
+    # whose boxes meet to segments_cross.
+    deferred = []
+
+    def counting(s1, s2):
+        deferred.append((s1, s2))
+        return segments_cross(s1, s2)
+
+    monkeypatch.setattr(geometry, "segments_cross", counting)
+    pts = [(x * scale, y * scale) for x in range(3) for y in range(3)]
+    segs = [(p, q) for k, p in enumerate(pts) for q in pts[k + 1:]]
+    verdicts = set()
+    meeting = 0
+    for a, b in segs:
+        for c, d in segs:
+            want = segments_cross_reference((a, b), (c, d))
+            verdicts.add(want)
+            x0, x1, y0, y1 = _segment(a, b)[2:]
+            u0, u1, v0, v1 = _segment(c, d)[2:]
+            meeting += 4 * (u0 <= x1 and x0 <= u1 and v0 <= y1 and y0 <= v1)
+            for s1 in ((a, b), (b, a)):
+                for s2 in ((c, d), (d, c)):
+                    assert _first_crossing(_segment(*s1), [_segment(*s2)]) == (0 if want else -1), (s1, s2)
+    assert verdicts == {True, False}
+    if scale == 2.0**-540:
+        assert len(deferred) == meeting
+    # a scan reports the first crossing position at or after start
+    prepared = [_segment(*s) for s in segs]
+    for k, s in enumerate(segs):
+        crossing = [m for m, t in enumerate(segs) if segments_cross_reference(s, t)]
+        for start in (0, k, k + 1):
+            want = next((m for m in crossing if m >= start), -1)
+            assert _first_crossing(prepared[k], prepared, start) == want, (s, start)
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**-520], ids=["1", "2^-520"])
+def test_first_crossing_matches_reference_near_collinear(scale):
+    # r is a rounded point of segment pq, and r moved by one ulp on either
+    # axis lies just off line pq, so most signs sit at the filter's edge;
+    # e extends pq beyond q, for collinear overlaps and touches.  At 2^-520
+    # the orientation products are subnormal and have lost bits.
+    rng = random.Random(12)
+    verdicts = set()
+    for _ in range(300):
+        p, q, u = [(rng.uniform(-scale, scale), rng.uniform(-scale, scale)) for _ in range(3)]
+        t = rng.random()
+        r = (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
+        e = (q[0] + t * (q[0] - p[0]), q[1] + t * (q[1] - p[1]))
+        ulp = [(math.nextafter(r[0], math.inf), r[1]), (r[0], math.nextafter(r[1], -math.inf))]
+        ends = [p, q, r, e, u] + ulp
+        for _ in range(20):
+            a, b, c, d = (rng.choice(ends) for _ in range(4))
+            if a == b or c == d:
+                continue
+            want = segments_cross_reference((a, b), (c, d))
+            verdicts.add(want)
+            for s1, s2 in (((a, b), (c, d)), ((c, d), (b, a))):
+                assert _first_crossing(_segment(*s1), [_segment(*s2)]) == (0 if want else -1), (s1, s2)
+    assert verdicts == {True, False}
+
+
+def test_first_crossing_defers_subnormal_products():
+    # c and d, one ulp apart, lie on either side of line ab.  Their
+    # orientation products are subnormal and have lost bits: both float
+    # determinants come out as +2^-1074, and only the underflow guard
+    # (_ORIENT_MIN_DETSUM) keeps the filter from putting c and d on one side.
+    # Found by a random search at scale 2^-513.
+    a = (2.282186818850848e-155, 3.606783975825266e-155)
+    b = (-1.3322988961758188e-155, 7.577164880649156e-156)
+    c = (-1.2233732847675704e-155, 8.435755680323596e-156)
+    d = (-1.2233732847675702e-155, 8.435755680323596e-156)
+    assert segments_cross_reference((a, b), (c, d))
+    assert _first_crossing(_segment(a, b), [_segment(c, d)]) == 0
 
 
 LATTICE_4X4 = [(x, y) for y in range(4) for x in range(4)]

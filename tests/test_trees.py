@@ -1,9 +1,13 @@
+import functools
 import math
+import operator
 import random
 
 import pytest
 
-from longspan.geometry import dist
+from longspan import geometry
+from longspan.geometry import dist, segments_cross
+from longspan.instances import GenSpec, generate
 from longspan.trees import (
     Tree,
     best_star,
@@ -74,19 +78,52 @@ def test_is_noncrossing_rejects_zero_length_edges_up_front():
 
 
 def test_is_noncrossing_matches_brute_reference_scan():
-    trees = [star(LATTICE_4X4, c) for c in range(16)]
     rng = random.Random(6)
-    for _ in range(60):
-        k = rng.randint(3, 9)
-        seq = tuple(rng.randrange(k) for _ in range(k - 2))
-        trees.append(Tree(k, tuple(prufer_decode(seq, k))))
-    verdicts = set()
-    for tree in trees:
-        pts = rng.sample(LATTICE_4X4, tree.n) if tree.n < 16 else LATTICE_4X4
-        pair = first_crossing_reference(tree.edges, pts)
-        verdicts.add(pair is None)
-        assert is_noncrossing(tree, pts) == (pair is None, pair)
-    assert verdicts == {True, False}
+    # points on a line up to rounding, every other one moved by one ulp
+    line = [(x / 7, 0.3 * (x / 7) + 0.1) for x in range(16)]
+    families = {
+        "int lattice": LATTICE_4X4,
+        "float": [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(16)],
+        "2^-540": [(x * 2.0**-540, y * 2.0**-540) for x, y in LATTICE_4X4],
+        "2^500": [(x * 2.0**500, y * 2.0**500) for x, y in LATTICE_4X4],
+        "near-collinear": [
+            (x, math.nextafter(y, (-1) ** (k // 2) * math.inf) if k % 2 else y)
+            for k, (x, y) in enumerate(line)
+        ],
+    }
+    for name, points in families.items():
+        trees = [star(points, c) for c in range(16)]
+        for _ in range(60):
+            k = rng.randint(3, 9)
+            seq = tuple(rng.randrange(k) for _ in range(k - 2))
+            trees.append(Tree(k, tuple(prufer_decode(seq, k))))
+        verdicts = set()
+        for tree in trees:
+            pts = rng.sample(points, tree.n) if tree.n < 16 else points
+            pair = first_crossing_reference(tree.edges, pts)
+            verdicts.add(pair is None)
+            assert is_noncrossing(tree, pts) == (pair is None, pair), name
+        assert verdicts == {True, False}, name
+
+
+def test_is_noncrossing_decides_star_pairs_without_segments_cross(monkeypatch):
+    # spokes of a star share the centre, and on uniform points the filter
+    # certifies their far ends off one line through it
+    calls = 0
+
+    def counting(s1, s2):
+        nonlocal calls
+        calls += 1
+        return segments_cross(s1, s2)
+
+    monkeypatch.setattr(geometry, "segments_cross", counting)
+    pts = generate(GenSpec("uniform_square", 32, 12))
+    for c in range(0, 32, 4):
+        tree = star(pts, c)
+        assert first_crossing_reference(tree.edges, pts) is None
+        assert is_noncrossing(tree, pts) == (True, None)
+    # the kernel decides at least 90% of the 8 x 465 spoke pairs itself
+    assert calls <= 0.1 * 8 * (31 * 30 // 2)
 
 
 def test_min_spanning_tree_examples():
@@ -310,6 +347,38 @@ def test_fermat_point_is_scale_invariant():
         res = fermat_point((ox, oy), (ox + s, oy), (ox + 0.5 * s, oy + 0.866 * s))
         assert res.degenerate_at_vertex is None
         assert res.smt_length / s == pytest.approx(base.smt_length, rel=1e-12), s
+
+
+def test_fermat_point_adds_left_to_right():
+    # From Python 3.12 on, sum() over floats is compensated.  fermat_point
+    # adds its weights, weighted offsets and lengths left to right instead,
+    # as reduce(operator.add) does, so its values are 3.10's and 3.11's on
+    # every interpreter.  The weights follow the docstring's closed form.
+    add = functools.partial(functools.reduce, operator.add)
+    rng = random.Random(19)
+    interior = 0
+    for _ in range(2000):
+        tri = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3)]
+        res = fermat_point(*tri)
+        sp = res.steiner_point
+        assert res.smt_length == add(dist(sp, p) for p in tri)
+        if res.degenerate_at_vertex is not None:
+            continue
+        interior += 1
+        off = [(x - tri[0][0], y - tri[0][1]) for x, y in tri]
+        e = math.frexp(max(abs(t) for o in off for t in o))[1]
+        rel = [(math.ldexp(x, -e), math.ldexp(y, -e)) for x, y in off]
+        den = []
+        for v in range(3):
+            u, w = (v + 1) % 3, (v + 2) % 3
+            ux, uy = rel[u][0] - rel[v][0], rel[u][1] - rel[v][1]
+            wx, wy = rel[w][0] - rel[v][0], rel[w][1] - rel[v][1]
+            den.append(abs(ux * wy - uy * wx) + math.sqrt(3.0) * (ux * wx + uy * wy))
+        wts = (den[1] * den[2], den[0] * den[2], den[0] * den[1])
+        for axis in (0, 1):
+            weighted = add(wt * r[axis] for wt, r in zip(wts, rel)) / add(wts)
+            assert sp[axis] == tri[0][axis] + math.ldexp(weighted, e)
+    assert interior > 1000
 
 
 def test_fermat_point_matches_grid_oracle():
