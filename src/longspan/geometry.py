@@ -113,8 +113,11 @@ def orientation(p: Sequence[float], q: Sequence[float], r: Sequence[float]) -> i
     detright = qy * rx
     det = detleft - detright
     detsum = abs(detleft) + abs(detright)
-    if abs(det) > _ORIENT_ERRBOUND * detsum and detsum >= _ORIENT_MIN_DETSUM:
-        return LEFT if det > 0.0 else RIGHT
+    try:
+        if abs(det) > _ORIENT_ERRBOUND * detsum and detsum >= _ORIENT_MIN_DETSUM:
+            return LEFT if det > 0.0 else RIGHT
+    except OverflowError:  # an int or Fraction detsum beyond the double range
+        pass
     # A difference of finite doubles is zero only when the coordinates are
     # equal, so these two tests are exact.  The first covers p == q and
     # p == r; the second q == r, whose float det is 0 with detsum > 0.
@@ -145,66 +148,21 @@ def _common_integers(coords: Sequence[float]) -> list[int]:
     return [num * (den // d) for num, d in ratios]
 
 
-def _within_box(a: Sequence[float], b: Sequence[float], x: Sequence[float]) -> bool:
-    # x is assumed collinear with segment ab; closed bounding-box test
-    return (
-        min(a[0], b[0]) <= x[0] <= max(a[0], b[0])
-        and min(a[1], b[1]) <= x[1] <= max(a[1], b[1])
-    )
-
-
 def segments_cross(s1: Sequence, s2: Sequence) -> bool:
     """Whether two segments cross.
 
     A crossing is an intersection at a point interior to at least one of the
     two segments.  Meeting at a shared endpoint does not count; a collinear
     overlap of positive length does.  Symmetric in its arguments and in each
-    segment's endpoint order.
-
-    Segments xy and xz that share an endpoint x (by value) take one
-    orientation: they cross exactly when y, x and z are collinear and y and
-    z lie on the same side of x, which the dominant axis of xy decides.  Any
-    other pair takes four orientations.
+    segment's endpoint order.  The one-pair case of the filtered kernel that
+    validates trees, so every crossing decision of the library is this one.
 
     Raises ValueError for zero-length segments.
     """
-    a, b = s1
-    c, d = s2
-    a, b, c, d = tuple(a), tuple(b), tuple(c), tuple(d)
-    if a == b or c == d:
+    s, t = _segment(*s1), _segment(*s2)
+    if s[0] == s[1] or t[0] == t[1]:
         raise ValueError("degenerate segment")
-    if a == c or a == d or b == c or b == d:
-        x, y = (a, b) if a == c or a == d else (b, a)
-        z = d if x == c else c
-        # Lines through x meet only at x, so only an overlap along one line
-        # crosses.  On a line with |dx| >= |dy| no two points share an x
-        # coordinate, so z, on line xy and not x, differs from x on the
-        # dominant axis of xy, and the comparisons are exact.
-        if orientation(x, y, z) != COLLINEAR:
-            return False
-        axis = 0 if abs(y[0] - x[0]) >= abs(y[1] - x[1]) else 1
-        return (y[axis] > x[axis]) == (z[axis] > x[axis])
-    d1 = orientation(c, d, a)
-    d2 = orientation(c, d, b)
-    d3 = orientation(a, b, c)
-    d4 = orientation(a, b, d)
-    if d1 * d2 < 0 and d3 * d4 < 0:
-        return True  # proper crossing, interior to both
-    if d1 == 0 and d2 == 0:
-        # all four points collinear; a line with |dx| >= |dy| is x-monotone,
-        # so comparing along the dominant axis is exact
-        axis = 0 if abs(b[0] - a[0]) >= abs(b[1] - a[1]) else 1
-        lo1, hi1 = sorted((a[axis], b[axis]))
-        lo2, hi2 = sorted((c[axis], d[axis]))
-        return max(lo1, lo2) < min(hi1, hi2)
-    # Non-collinear lines meet at most once, and no endpoint is shared, so
-    # any remaining contact is an endpoint of one segment inside the other.
-    return (
-        (d1 == 0 and _within_box(c, d, a))
-        or (d2 == 0 and _within_box(c, d, b))
-        or (d3 == 0 and _within_box(a, b, c))
-        or (d4 == 0 and _within_box(a, b, d))
-    )
+    return _first_crossing(s, (t,)) == 0
 
 
 def _segment(p: Sequence[float], q: Sequence[float]) -> tuple:
@@ -215,14 +173,14 @@ def _segment(p: Sequence[float], q: Sequence[float]) -> tuple:
 
 
 def _first_crossing(s: tuple, segs: Sequence[tuple], start: int = 0) -> int:
-    # The first position m >= start whose segment in segs crosses s, by
-    # segments_cross, or -1; all in _segment's form, none of length zero.
-    # Each sign is orientation's float filter inline, whose bound holds for
-    # any base vertex, so a sure sign is the exact sign.  A pair is decided
-    # here only on sure signs, as segments_cross would: disjoint boxes, or c
-    # and d strictly on one side of line ab (a and b of cd), do not meet; a
-    # straddle both ways crosses; far ends off one line through a shared
-    # endpoint (by value) do not cross.  segments_cross decides the rest.
+    # The first position m >= start whose segment in segs crosses s, or -1;
+    # all in _segment's form, none of length zero: the library's one
+    # crossing rule, with segments_cross its one-pair case.  Each sign is
+    # first orientation's float filter inline, whose bound holds for any
+    # base vertex, so a sure sign is exact.  On sure signs, disjoint boxes,
+    # or c and d strictly on one side of line ab (a and b of cd), do not
+    # meet; a straddle both ways crosses; far ends off one line through a
+    # shared endpoint (by value) do not cross.  The rest take exact signs.
     a, b, x0, x1, y0, y1 = s
     (ax, ay), (bx, by) = a, b
     abx, aby = bx - ax, by - ay
@@ -234,29 +192,54 @@ def _first_crossing(s: tuple, segs: Sequence[tuple], start: int = 0) -> int:
         (cx, cy), (dx, dy) = c, d
         far = (d if cx == ax and cy == ay or cx == bx and cy == by
                else c if dx == ax and dy == ay or dx == bx and dy == by else None)
-        if far is not None:
-            left, right = abx * (far[1] - ay), aby * (far[0] - ax)
-            o, so = left - right, abs(left) + abs(right)
-            if abs(o) > err * so and so >= tiny:
+        try:
+            if far is not None:
+                left, right = abx * (far[1] - ay), aby * (far[0] - ax)
+                o, so = left - right, abs(left) + abs(right)
+                if abs(o) > err * so and so >= tiny:
+                    continue
+            else:
+                left, right = abx * (cy - ay), aby * (cx - ax)
+                oc, sc = left - right, abs(left) + abs(right)
+                left, right = abx * (dy - ay), aby * (dx - ax)
+                od, sd = left - right, abs(left) + abs(right)
+                if abs(oc) > err * sc and sc >= tiny and abs(od) > err * sd and sd >= tiny:
+                    if (oc > 0) == (od > 0):
+                        continue
+                    cdx, cdy = dx - cx, dy - cy
+                    left, right = cdx * (ay - cy), cdy * (ax - cx)
+                    oa, sa = left - right, abs(left) + abs(right)
+                    left, right = cdx * (by - cy), cdy * (bx - cx)
+                    ob, sb = left - right, abs(left) + abs(right)
+                    if abs(oa) > err * sa and sa >= tiny and abs(ob) > err * sb and sb >= tiny:
+                        if (oa > 0) != (ob > 0):
+                            return m
+                        continue
+        except OverflowError:  # an int or Fraction detsum beyond the double range
+            pass
+        if far is None:
+            d1, d2 = orientation(c, d, a), orientation(c, d, b)
+            d3, d4 = orientation(a, b, c), orientation(a, b, d)
+            if d1 * d2 < 0 and d3 * d4 < 0:
+                return m  # a proper crossing, interior to both
+            if d1 or d2:
+                # Non-collinear lines meet at most once, and no endpoint is
+                # shared, so any other contact is an endpoint of one segment
+                # inside the other.
+                if (d1 == 0 and u0 <= ax <= u1 and v0 <= ay <= v1
+                        or d2 == 0 and u0 <= bx <= u1 and v0 <= by <= v1
+                        or d3 == 0 and x0 <= cx <= x1 and y0 <= cy <= y1
+                        or d4 == 0 and x0 <= dx <= x1 and y0 <= dy <= y1):
+                    return m
                 continue
-        else:
-            left, right = abx * (cy - ay), aby * (cx - ax)
-            oc, sc = left - right, abs(left) + abs(right)
-            left, right = abx * (dy - ay), aby * (dx - ax)
-            od, sd = left - right, abs(left) + abs(right)
-            if abs(oc) > err * sc and sc >= tiny and abs(od) > err * sd and sd >= tiny:
-                if (oc > 0) == (od > 0):
-                    continue
-                cdx, cdy = dx - cx, dy - cy
-                left, right = cdx * (ay - cy), cdy * (ax - cx)
-                oa, sa = left - right, abs(left) + abs(right)
-                left, right = cdx * (by - cy), cdy * (bx - cx)
-                ob, sb = left - right, abs(left) + abs(right)
-                if abs(oa) > err * sa and sa >= tiny and abs(ob) > err * sb and sb >= tiny:
-                    if (oa > 0) != (ob > 0):
-                        return m
-                    continue
-        if segments_cross((a, b), (c, d)):
+        elif orientation(a, b, far) != COLLINEAR:
+            continue
+        # Both segments lie on one line, so they cross when they overlap with
+        # positive length (two that share an endpoint, when they lie on one
+        # side of it).  A line with |dx| >= |dy| is x-monotone, so comparing
+        # along the dominant axis is exact.
+        if (max(x0, u0) < min(x1, u1) if abs(abx) >= abs(aby)
+                else max(y0, v0) < min(y1, v1)):
             return m
     return -1
 

@@ -19,7 +19,7 @@ from itertools import chain
 from typing import NamedTuple, Sequence
 
 from .geometry import (
-    _check_length_bound, as_points, diametral_pair, dist, orientation, segments_cross,
+    _check_length_bound, _first_crossing, _segment, as_points, diametral_pair, dist, orientation,
 )
 from .report import SolveReport
 from .trees import Tree, is_noncrossing, star, tree_length, validate_spanning_tree
@@ -239,13 +239,14 @@ def _anchored_tree(
         edges.append((spokes[wedge_index(theta[k])], k))
         attached.append(k)
 
+    # Built only for middle points, which two-cluster input lacks.  No edge
+    # joins coincident points: spokes and left-strip edges join two strips.
+    segs = [_segment(points[i], points[j]) for i, j in edges] if middle else []
+
     def visible(p, w: int) -> bool:
-        # no edge joins coincident points (spokes and left-strip edges join
-        # two strips), so segments_cross never meets one of length zero
         if tuple(points[w]) == tuple(p):
             return False
-        seg = (p, points[w])
-        return not any(segments_cross(seg, (points[i], points[j])) for i, j in edges)
+        return _first_crossing(_segment(p, points[w]), segs) < 0
 
     for k in sorted(middle, key=lambda k: (theta[k], k)):
         p = points[k]
@@ -261,6 +262,7 @@ def _anchored_tree(
         if target is None:
             return NcstCandidate(None, tag, guess, False)
         edges.append((target, k))
+        segs.append(_segment(points[target], p))
         attached.append(k)
 
     return _finish_candidate(points, Tree(len(points), tuple(edges)), tag, guess)

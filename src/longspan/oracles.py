@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .geometry import _bounding_box, _check_length_bound, as_points, dist, segments_cross
+from .geometry import _bounding_box, _check_length_bound, _first_crossing, _segment, as_points, dist
 from .neighborhoods import NeighborhoodSet, StnbSolution, _stnb_solution
 from .report import SolveReport
 from .trees import Tree, _prim, tree_length
@@ -55,14 +55,13 @@ def exact_ncst(
     for d in lengths:
         prefix.append(prefix[-1] + d)
 
+    segs = [_segment(pts[i], pts[j]) for _, i, j in edges]
     cross_mask = [0] * m
     for x in range(m):
-        _, i, j = edges[x]
-        for y in range(x + 1, m):
-            _, p, q = edges[y]
-            if segments_cross((pts[i], pts[j]), (pts[p], pts[q])):
-                cross_mask[x] |= 1 << y
-                cross_mask[y] |= 1 << x
+        y = x
+        while (y := _first_crossing(segs[x], segs, y + 1)) >= 0:
+            cross_mask[x] |= 1 << y
+            cross_mask[y] |= 1 << x
 
     target = n - 1
     slack = 1e-9 * prefix[min(target, m)]

@@ -82,11 +82,11 @@ def is_noncrossing(
 
     Returns (True, None) or (False, first crossing edge pair).  Edges that
     share an endpoint index still get tested: collinear overlaps through a
-    shared vertex count as crossings.  A filtered kernel skips pairs with
-    disjoint closed boxes and decides those whose orientation signs are
-    sure, hence exact; segments_cross decides the rest.  So the verdict and
-    the first crossing pair are the full segments_cross scan's.  A tree
-    with two or more edges and a zero-length one raises ValueError first.
+    shared vertex count as crossings.  Each edge is scanned against the
+    later ones by the crossing kernel, whose one-pair case is
+    segments_cross, so the verdict and the first crossing pair are those of
+    the full pairwise segments_cross scan.  A tree with two or more edges
+    and a zero-length one raises ValueError first.
     """
     edges = tree.edges
     segs = []

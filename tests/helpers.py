@@ -105,6 +105,16 @@ def segments_cross_reference(s1, s2) -> bool:
     return interior
 
 
+def crossing_scan_reference(s, segs, start=0) -> int:
+    """The crossing kernel's contract, pair by pair: the first position
+    m >= start whose segment in segs crosses s by segments_cross_reference,
+    or -1.  Segments are tuples that start with their two endpoints."""
+    for m in range(start, len(segs)):
+        if segments_cross_reference(s[:2], segs[m][:2]):
+            return m
+    return -1
+
+
 def first_crossing_reference(edges, pts):
     """The first edge pair (k < m in list order) that crosses by
     segments_cross_reference, testing every pair; None when none does."""

@@ -206,6 +206,21 @@ def test_orientation_matches_rational_reference():
             assert orientation(a, b, c) == orientation_reference(a, b, c), (a, b, c)
 
 
+def test_orientation_takes_products_beyond_the_double_range():
+    # int and Fraction products beyond the double range cannot meet the
+    # float error bound, so the filter leaves them to the exact path
+    big, third = 2**600, Fraction(2**600) + Fraction(1, 3)
+    for t in (((0, 0), (big, 1), (1, big)), ((0, 0), (big, big), (2 * big, 2 * big)),
+              ((big, 0), (0, big), (big // 2, big // 2 + 1)),
+              ((third, 0), (0, third), (third, third)),
+              ((third, third), (2 * third, 2 * third), (3 * third, 3 * third + Fraction(1, 7)))):
+        assert orientation(*t) == orientation_reference(*t), t
+    huge = solve_ncst([(0, 0), (2**600, 0), (0, 2**600), (2**599, 2**598)])
+    small = solve_ncst([(0, 0), (4, 0), (0, 4), (2, 1)])
+    assert (huge.candidate, huge.tree.edges, huge.guess) == (
+        small.candidate, small.tree.edges, small.guess) == ("star", ((0, 2), (1, 2), (2, 3)), None)
+
+
 def test_segments_cross_examples():
     assert segments_cross(((0, 0), (1, 1)), ((0, 1), (1, 0))) is True
     assert segments_cross(((0, 0), (1, 0)), ((1, 0), (1, 1))) is False
@@ -270,26 +285,28 @@ def test_segments_cross_matches_reference_on_lattice_pairs(scale):
 
 
 @pytest.mark.parametrize(
-    "scale", [1, 1.0, 2.0**-540, 2.0**500, 2.0**-500, Fraction(1, 3)],
-    ids=["int", "1", "2^-540", "2^500", "2^-500", "Fraction"],
+    "scale", [1, 1.0, 2.0**-540, 2.0**500, 2.0**-500, Fraction(1, 3), 2**600, Fraction(2**600, 3)],
+    ids=["int", "1", "2^-540", "2^500", "2^-500", "Fraction", "int-2^600", "Fraction-2^600"],
 )
 def test_first_crossing_matches_reference_on_lattice_pairs(scale, monkeypatch):
-    # is_noncrossing's filtered kernel on every pair of segments between
-    # points of a 3x3 lattice, the same segment and shared endpoints
-    # included, in every endpoint and argument order.  At 2^-540 every
-    # orientation product underflows, so the filter must defer each pair
-    # whose boxes meet to segments_cross.
-    deferred = []
+    # The crossing kernel on every pair of segments between points of a 3x3
+    # lattice, the same segment and shared endpoints included, in every
+    # endpoint and argument order.  At 2^-540 every orientation product
+    # underflows, and at 2^600 every nonzero int or Fraction product lies
+    # beyond the double range, so no float sign is sure, and each pair whose
+    # boxes meet must reach the exact orientation.
+    calls = 0
 
-    def counting(s1, s2):
-        deferred.append((s1, s2))
-        return segments_cross(s1, s2)
+    def counting(p, q, r):
+        nonlocal calls
+        calls += 1
+        return orientation(p, q, r)
 
-    monkeypatch.setattr(geometry, "segments_cross", counting)
+    monkeypatch.setattr(geometry, "orientation", counting)
     pts = [(x * scale, y * scale) for x in range(3) for y in range(3)]
     segs = [(p, q) for k, p in enumerate(pts) for q in pts[k + 1:]]
     verdicts = set()
-    meeting = 0
+    meeting = reached = 0
     for a, b in segs:
         for c, d in segs:
             want = segments_cross_reference((a, b), (c, d))
@@ -299,10 +316,12 @@ def test_first_crossing_matches_reference_on_lattice_pairs(scale, monkeypatch):
             meeting += 4 * (u0 <= x1 and x0 <= u1 and v0 <= y1 and y0 <= v1)
             for s1 in ((a, b), (b, a)):
                 for s2 in ((c, d), (d, c)):
+                    before = calls
                     assert _first_crossing(_segment(*s1), [_segment(*s2)]) == (0 if want else -1), (s1, s2)
+                    reached += calls > before
     assert verdicts == {True, False}
-    if scale == 2.0**-540:
-        assert len(deferred) == meeting
+    if scale in (2.0**-540, 2**600, Fraction(2**600, 3)):
+        assert reached == meeting
     # a scan reports the first crossing position at or after start
     prepared = [_segment(*s) for s in segs]
     for k, s in enumerate(segs):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from longspan import noncrossing, oracles
 from longspan.geometry import dist
 from longspan.instances import GenSpec, generate
 from longspan.noncrossing import (
@@ -16,7 +17,7 @@ from longspan.noncrossing import (
 from longspan.oracles import exact_ncst
 from longspan.trees import is_noncrossing, tree_length, validate_spanning_tree
 
-from helpers import max_noncrossing_tree_bruteforce
+from helpers import crossing_scan_reference, max_noncrossing_tree_bruteforce
 
 
 def test_ncst_params_values():
@@ -214,6 +215,63 @@ def test_solve_ncst_and_exact_ncst_are_scale_invariant():
         assert (rep.tree.edges, rep.candidate, rep.guess) == (
             base.tree.edges, base.candidate, base.guess), k
         assert exact_ncst(scaled, max_n=12).edges == base_exact.edges, k
+
+
+def _near_collinear(seed: int) -> list[tuple[float, float]]:
+    # rounded points of one line, some moved off it by one ulp on an axis
+    rng = random.Random(seed)
+    p, q = (rng.uniform(-1, 1), rng.uniform(-1, 1)), (rng.uniform(-1, 1), rng.uniform(-1, 1))
+    pts = []
+    for t in (0.0, 0.125, 0.3, 0.5, 0.7, 0.875, 1.0, 1.5):
+        x, y = p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])
+        move = rng.randrange(3)
+        if move == 1:
+            x = math.nextafter(x, math.inf)
+        elif move == 2:
+            y = math.nextafter(y, -math.inf)
+        pts.append((x, y))
+    return pts
+
+
+_LATTICE_3 = [(x, y) for x in range(3) for y in range(3)]
+
+
+@pytest.mark.parametrize("pts", [
+    pytest.param(_LATTICE_3, id="lattice3"),
+    pytest.param([(x, y) for x in range(4) for y in range(4)], id="lattice4"),
+    pytest.param(generate(GenSpec("two_cluster", 10, 4, epsilon=1e-6)), id="two_cluster"),
+    pytest.param(_near_collinear(1), id="near_collinear1"),
+    pytest.param(_near_collinear(2), id="near_collinear2"),
+    pytest.param([(math.ldexp(x, -540), math.ldexp(y, -540)) for x, y in _LATTICE_3],
+                 id="lattice3-2^-540"),
+    pytest.param([(math.ldexp(x, 500), math.ldexp(y, 500)) for x, y in _near_collinear(1)],
+                 id="near_collinear1-2^500"),
+    pytest.param([(math.ldexp(x, -540), math.ldexp(y, -540)) for x, y in _near_collinear(2)],
+                 id="near_collinear2-2^-540"),
+])
+def test_crossing_kernel_callers_match_the_reference_scan(pts, monkeypatch):
+    # the anchored trees' visibility test and exact_ncst's crossing masks,
+    # through the crossing kernel and through a reference scan built on the
+    # exact rational segments_cross_reference
+    n = len(pts)
+    guesses = [(i, j) for i in range(n) for j in range(i + 1, n) if pts[i] != pts[j]]
+
+    def run():
+        trees = [(t.tree, t.noncrossing) for i, j in guesses
+                 for t in (build_Ta(pts, i, j), build_Tb(pts, i, j))]
+        return trees, exact_ncst(pts, max_n=n).edges if n <= 10 else None
+
+    real = run()
+    found = []
+
+    def reference(s, segs, start=0):
+        found.append(crossing_scan_reference(s, segs, start))
+        return found[-1]
+
+    monkeypatch.setattr(noncrossing, "_first_crossing", reference)
+    monkeypatch.setattr(oracles, "_first_crossing", reference)
+    assert run() == real
+    assert -1 in found and max(found) >= 0  # visible and blocked both occur
 
 
 def test_solve_ncst_prune_matches_noprune():

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from longspan import geometry
-from longspan.geometry import dist, segments_cross
+from longspan.geometry import dist, orientation
 from longspan.instances import GenSpec, generate
 from longspan.trees import (
     Tree,
@@ -106,17 +106,18 @@ def test_is_noncrossing_matches_brute_reference_scan():
         assert verdicts == {True, False}, name
 
 
-def test_is_noncrossing_decides_star_pairs_without_segments_cross(monkeypatch):
+def test_is_noncrossing_decides_star_pairs_on_float_signs(monkeypatch):
     # spokes of a star share the centre, and on uniform points the filter
-    # certifies their far ends off one line through it
+    # certifies their far ends off one line through it; a spoke pair that
+    # it cannot certify makes one exact orientation call
     calls = 0
 
-    def counting(s1, s2):
+    def counting(p, q, r):
         nonlocal calls
         calls += 1
-        return segments_cross(s1, s2)
+        return orientation(p, q, r)
 
-    monkeypatch.setattr(geometry, "segments_cross", counting)
+    monkeypatch.setattr(geometry, "orientation", counting)
     pts = generate(GenSpec("uniform_square", 32, 12))
     for c in range(0, 32, 4):
         tree = star(pts, c)
