@@ -3,11 +3,11 @@
 The solver guesses the longest edge (a, b) of an optimal tree by trying all
 point pairs.  Guess-independent candidates are the n spanning stars (plus a
 monotone path when the input is collinear, where stars self-overlap); each
-guess additionally contributes two anchored trees T_a and T_b built in three
-sweeps (far-strip points to the anchor, near-strip points into angular
-wedges, middle-strip points greedily to visible wedge endpoints).  Every
-candidate is crossing-validated and invalid ones are discarded, so the
-reported tree is always a noncrossing spanning tree.
+guess adds two anchored trees T_a and T_b built in three sweeps (far-strip
+points to the anchor, near-strip points into angular wedges, middle-strip
+points greedily to visible wedge endpoints).  Every builder makes a spanning
+tree by construction, so one crossing scan, is_noncrossing, validates each
+candidate, and the reported tree is always a noncrossing spanning tree.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .geometry import (
     _check_length_bound, _first_crossing, _segment, as_points, diametral_pair, dist, orientation,
 )
 from .report import SolveReport
-from .trees import Tree, is_noncrossing, star, tree_length, validate_spanning_tree
+from .trees import Tree, is_noncrossing, star, tree_length
 
 DELTA_NONCROSSING = 0.519
 STRIP_OMEGA = 0.16
@@ -170,8 +170,8 @@ def classify_points(points: Sequence[Sequence[float]], a: int, b: int) -> Region
 @dataclass(frozen=True)
 class NcstCandidate:
     """One candidate tree: a star, the collinear fallback path, or an
-    anchored tree for a guess.  noncrossing is the validation verdict; a
-    failed construction carries tree=None."""
+    anchored tree for a guess.  noncrossing is is_noncrossing's verdict on a
+    tree that spans by construction; a failed construction carries tree=None."""
 
     tree: Tree | None
     tag: str  # "star" | "path" | "Ta" | "Tb"
@@ -187,9 +187,13 @@ def _finish_candidate(
     guess: tuple[int, int] | None,
     center: int | None = None,
 ) -> NcstCandidate:
-    if any(dist(points[i], points[j]) == 0.0 for i, j in tree.edges):
-        return NcstCandidate(tree, tag, guess, False, center)
-    ok = validate_spanning_tree(tree, points) is None and is_noncrossing(tree, points)[0]
+    # Every builder spans by construction: each attaches every non-root
+    # point once, to a point already placed.  So the crossing scan is the
+    # one check, and its zero-length error (equal points by value) rejects.
+    try:
+        ok = is_noncrossing(tree, points)[0]
+    except ValueError:
+        ok = False
     return NcstCandidate(tree, tag, guess, ok, center)
 
 
@@ -213,29 +217,28 @@ def _anchored_tree(
         _, xs, ys, strips = _strip_split(points, root, far)
     except ValueError:  # the guess points coincide
         return NcstCandidate(None, tag, guess, False)
-    pa = points[root]
     # every point's angle about the root from the direction of far, in [-pi, pi)
     theta = [-math.pi if th == math.pi else th for th in map(math.atan2, ys, xs)]
 
-    groups = {"left": [], "middle": [], "right": []}
-    for k, strip in enumerate(strips):
-        if k != root:
-            groups[strip].append(k)
-    left, middle, right = groups["left"], groups["middle"], groups["right"]
-    if far not in right:  # cannot happen for a positive-length guess
+    # each strip's points in index order, so stable sorts break ties by index
+    left, middle, right = (
+        [k for k, s in enumerate(strips) if s == name and k != root]
+        for name in ("left", "middle", "right")
+    )
+    # Reached when |ab| is subnormal and a point lies 1/2 or more away:
+    # _strip_split keeps the frame, and the strip lines round together.
+    if far not in right:
         return NcstCandidate(None, tag, guess, False)
 
-    right.sort(key=lambda k: (theta[k], dist(pa, points[k]), k))
-    spokes = right
+    spokes = sorted(right, key=lambda k: (theta[k], dist(points[root], points[k])))
     spoke_angles = [theta[k] for k in spokes]
     edges = [(root, k) for k in spokes]
-    attached = [root] + list(spokes)
+    attached = [root] + spokes
 
     def wedge_index(phi: float) -> int:
-        i = bisect_right(spoke_angles, phi) - 1
-        return 0 if i < 0 else i
+        return max(bisect_right(spoke_angles, phi) - 1, 0)
 
-    for k in sorted(left, key=lambda k: (theta[k], k)):
+    for k in sorted(left, key=theta.__getitem__):
         edges.append((spokes[wedge_index(theta[k])], k))
         attached.append(k)
 
@@ -244,11 +247,10 @@ def _anchored_tree(
     segs = [_segment(points[i], points[j]) for i, j in edges] if middle else []
 
     def visible(p, w: int) -> bool:
-        if tuple(points[w]) == tuple(p):
-            return False
-        return _first_crossing(_segment(p, points[w]), segs) < 0
+        s = _segment(p, points[w])
+        return s[0] != s[1] and _first_crossing(s, segs) < 0
 
-    for k in sorted(middle, key=lambda k: (theta[k], k)):
+    for k in sorted(middle, key=theta.__getitem__):
         p = points[k]
         i = wedge_index(theta[k])
         cands = {spokes[i], root}
@@ -278,40 +280,24 @@ def build_Tb(points: Sequence[Sequence[float]], a: int, b: int) -> NcstCandidate
     return _anchored_tree(points, b, a, "Tb", (a, b))
 
 
-def _all_collinear(points: Sequence[Sequence[float]]) -> bool:
-    base = None
-    for k in range(1, len(points)):
-        if tuple(points[k]) != tuple(points[0]):
-            base = k
-            break
-    if base is None:
-        return True
-    return all(
-        orientation(points[0], points[base], points[k]) == 0
-        for k in range(len(points))
-    )
-
-
 def _monotone_path(points: Sequence[Sequence[float]], iu: int, iv: int) -> Tree:
     pu, pv = points[iu], points[iv]
     ux, uy = pv[0] - pu[0], pv[1] - pu[1]
-    order = sorted(
-        range(len(points)),
-        key=lambda k: ((points[k][0] - pu[0]) * ux + (points[k][1] - pu[1]) * uy, k),
-    )
-    return Tree(len(points), tuple((order[t], order[t + 1]) for t in range(len(order) - 1)))
+    proj = [(p[0] - pu[0]) * ux + (p[1] - pu[1]) * uy for p in points]
+    order = sorted(range(len(points)), key=proj.__getitem__)  # stable: ties by index
+    return Tree(len(points), tuple(zip(order, order[1:])))
 
 
 def solve_ncst(points: Sequence[Sequence[float]], prune: bool = True) -> SolveReport:
     """0.519-approximation for the longest noncrossing spanning tree.
 
-    Candidates: the n stars (computed once; a star that self-overlaps on
-    collinear input is discarded and, for fully collinear inputs, a monotone
-    path substitutes), then T_a and T_b for every guess pair.  With pruning
-    on, guesses shorter than d * diameter are skipped: the stars already
-    cover them.  Ties keep the earliest candidate in the order stars (by
-    center), path, every T_a, then every T_b (each by lexicographic guess).
-    Raises ValueError when (n - 1) * diameter overflows a double.
+    Candidates: the n stars, a monotone path on collinear input (where
+    stars self-overlap), and T_a and T_b per guess pair.  They span by
+    construction, and is_noncrossing alone discards invalid ones.  Pruning
+    skips guesses shorter than d * diameter, which the stars cover.  Ties
+    keep the earliest candidate in the order stars (by center), path, every
+    T_a, then every T_b (each by lexicographic guess).  Raises ValueError
+    when (n - 1) * diameter overflows a double.
     """
     n = len(points)
     if n < 2:
@@ -324,23 +310,19 @@ def solve_ncst(points: Sequence[Sequence[float]], prune: bool = True) -> SolveRe
     _check_length_bound(n - 1, diam)
 
     threshold = ncst_params(1.0).d * diam * (1.0 - 1e-12)
-    guesses = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            ab = dist(pts[i], pts[j])
-            if ab != 0.0 and not (prune and ab < threshold):
-                guesses.append((i, j))
-    path = []
-    if _all_collinear(pts):
-        path.append(_finish_candidate(pts, _monotone_path(pts, iu, iv), "path", None))
+    guesses = [
+        (i, j) for i in range(n) for j in range(i + 1, n)
+        if (ab := dist(pts[i], pts[j])) != 0.0 and not (prune and ab < threshold)
+    ]
+    # iu and iv differ by value, since diam > 0
+    collinear = all(orientation(pts[iu], pts[iv], p) == 0 for p in pts)
     candidates = chain(
         (_finish_candidate(pts, star(pts, c), "star", None, center=c) for c in range(n)),
-        path,
+        [_finish_candidate(pts, _monotone_path(pts, iu, iv), "path", None)] if collinear else [],
         (build_Ta(pts, i, j) for i, j in guesses),
         (build_Tb(pts, i, j) for i, j in guesses),
     )
-    winner = None
-    winner_len = -1.0
+    winner, winner_len = None, -1.0
     for cand in candidates:  # in tie order: only a strictly longer tree wins
         if cand.noncrossing:
             length = tree_length(cand.tree, pts)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from longspan import noncrossing, oracles
-from longspan.geometry import dist
+from longspan.geometry import diametral_pair, dist, orientation
 from longspan.instances import GenSpec, generate
 from longspan.noncrossing import (
     _strip_split,
@@ -15,7 +15,7 @@ from longspan.noncrossing import (
     solve_ncst,
 )
 from longspan.oracles import exact_ncst
-from longspan.trees import is_noncrossing, tree_length, validate_spanning_tree
+from longspan.trees import is_noncrossing, star, tree_length, validate_spanning_tree
 
 from helpers import crossing_scan_reference, max_noncrossing_tree_bruteforce
 
@@ -133,6 +133,50 @@ def test_strip_split_keeps_subnormal_strip_lines_apart():
     assert _strip_split(tiny, 0, 1)[3] == _strip_split(pts, 0, 1)[3]
     for build in (build_Ta, build_Tb):
         assert build(tiny, 0, 1).tree == build(pts, 0, 1).tree
+
+
+@pytest.mark.parametrize("x, stars", [(1.0, ((0, 1), (1, 2))), (-1.0, ((0, 1), (0, 2)))])
+def test_anchored_trees_abort_when_subnormal_strip_lines_collapse(x, stars):
+    # |ab| = 2^-1074 with a point 1 away: _strip_split keeps the points'
+    # frame, the strip lines round onto a and b, and the mate lands in the
+    # middle strip, so there is no spoke to hang the other points from
+    pts = [(0.0, 0.0), (5e-324, 0.0), (x, 0.0)]
+    assert _strip_split(pts, 0, 1)[3][1] == "middle"
+    for build in (build_Ta, build_Tb):
+        cand = build(pts, 0, 1)
+        assert (cand.tree, cand.noncrossing) == (None, False)
+    rep = solve_ncst(pts, prune=False)
+    assert (rep.candidate, rep.tree.edges) == ("star", stars)
+
+
+def _spanning_families():
+    rng = random.Random(14)
+    lattice = [(rng.randrange(4), rng.randrange(4)) for _ in range(10)]
+    yield "uniform", generate(GenSpec("uniform_square", 10, 14))
+    yield "two_cluster", generate(GenSpec("two_cluster", 10, 14, epsilon=1e-6))
+    yield "int_lattice", lattice
+    yield "duplicates", [(0.5, 0.5), (0.0, 1.0), (0.5, 0.5), (1.0, 0.0), (0.0, 1.0),
+                         (0.25, 0.75), (0.5, 0.5), (1.0, 1.0)]
+    yield "collinear", [(3 * t, -2 * t) for t in (0, 4, 1, 1, 7, 2, 4, 5)]
+    for e in (-540, -1074):
+        yield f"lattice-2^{e}", [(math.ldexp(x, e), math.ldexp(y, e)) for x, y in lattice]
+
+
+@pytest.mark.parametrize("pts", [pytest.param(p, id=k) for k, p in _spanning_families()])
+def test_candidate_builders_make_spanning_trees(pts):
+    # _finish_candidate leaves the spanning check to construction: every
+    # star, every anchored tree that is built, and the monotone path on
+    # collinear input must be a spanning tree, for every guess (unpruned)
+    n = len(pts)
+    trees = [star(pts, c) for c in range(n)]
+    iu, iv = diametral_pair(pts)
+    if all(orientation(pts[iu], pts[iv], p) == 0 for p in pts):
+        trees.append(noncrossing._monotone_path(pts, iu, iv))
+    anchored = [build(pts, i, j).tree for i in range(n) for j in range(i + 1, n)
+                if dist(pts[i], pts[j]) != 0.0 for build in (build_Ta, build_Tb)]
+    assert any(tree is not None for tree in anchored)
+    for tree in trees + [tree for tree in anchored if tree is not None]:
+        assert validate_spanning_tree(tree, pts) is None, tree
 
 
 def test_solve_ncst_two_points():
