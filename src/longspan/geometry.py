@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from fractions import Fraction
 from itertools import repeat
 from numbers import Integral, Rational, Real
 from typing import Iterable, NamedTuple, Sequence
@@ -42,12 +43,17 @@ def as_points(points: Iterable[Sequence[float]]) -> list[Point]:
 
     Integer scalars such as numpy's become Python ints, whose products
     cannot wrap, and other floats such as numpy float32 and float64 become
-    Python floats, exactly; Fractions stay as they are.  Raises ValueError
-    naming the first point with a NaN or infinite coordinate, or an int
-    beyond the double range: the predicates are exact only on finite doubles.
+    Python floats, exactly; Fractions stay as they are.  When a float meets
+    an int or Fraction that no double holds, every float becomes the
+    Fraction of its exact value, so that every coordinate difference is
+    exact: Python would round the int or Fraction to a double before
+    subtracting.  Raises ValueError naming the first point with a NaN or
+    infinite coordinate, or an int beyond the double range: the predicates
+    are exact only on finite doubles.
     """
     pts = [p if isinstance(p, Point) else Point(_scalar(p[0]), _scalar(p[1])) for p in points]
-    _check_finite(pts)
+    if _check_finite(pts):
+        pts = [Point(*(Fraction(c) if isinstance(c, float) else c for c in p)) for p in pts]
     return pts
 
 
@@ -59,13 +65,26 @@ def _scalar(c: float) -> float:
     return c
 
 
-def _check_finite(points: Iterable[Sequence[float]]) -> None:
+def _check_finite(points: Iterable[Sequence[float]]) -> bool:
+    # Raises ValueError for the first point with a NaN or infinite
+    # coordinate or an int beyond the double range.  Returns whether a
+    # float meets an int or Fraction that no double holds.
+    floats = inexact = False
     try:
         for k, (x, y) in enumerate(points):
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValueError(f"point {k} has a non-finite coordinate ({x!r}, {y!r})")
+            if type(x) is float and type(y) is float:
+                floats = True
+                continue
+            for c in (x, y):
+                if isinstance(c, float):
+                    floats = True
+                elif float(c) != c:
+                    inexact = True
     except OverflowError:  # an int beyond the double range
         raise ValueError(f"point {k} has a coordinate beyond the double range") from None
+    return floats and inexact
 
 
 def dist(p: Sequence[float], q: Sequence[float]) -> float:
@@ -105,7 +124,10 @@ def orientation(p: Sequence[float], q: Sequence[float], r: Sequence[float]) -> i
     Coordinates must be finite; the public solvers reject NaN and infinities
     at their entry points.  Raw numpy int64 or float32 coordinates must go
     through as_points first: the float filter would multiply them in 64-bit
-    integers, which wrap past about 2^31.5, or in single precision.
+    integers, which wrap past about 2^31.5, or in single precision.  So
+    must a float mixed with an int or Fraction that no double holds: Python
+    would round the int or Fraction before subtracting, and the filter
+    could trust a wrong sign; as_points makes such floats Fractions.
     """
     qx, qy = q[0] - p[0], q[1] - p[1]
     rx, ry = r[0] - p[0], r[1] - p[1]
@@ -272,43 +294,46 @@ def _check_length_bound(edges: int, longest: float) -> None:
 
 
 def _farthest_pair(
-    points: Sequence[Sequence[float]], colors: Sequence[int], floats: bool = False
-) -> tuple[int, int] | None:
-    # The first pair in index order, of two colors, with the largest dist;
-    # None when there is none.  Only points that can end such a pair enter
-    # the quadratic scan.  For r_k = |p_k g| and R = max r_k, the triangle
-    # inequality gives |p_i p_j| <= r_i + R, so a pair whose dist reaches
-    # the dist L of some pair of two colors has r_i + R >= L and
-    # r_j + R >= L, up to rounding.  A coordinate difference, in dist or
-    # against g, is off by at most 2^-51 times the largest magnitude M of a
-    # coordinate on its axis: ints and Fractions are rounded to doubles
-    # before they meet the float g, and the subtraction rounds.  Other
-    # scalars, such as numpy's, are first converted as by as_points: int64
-    # differences would wrap and float32 ones round in single precision.
-    # Hypot and the sum add relative errors of a few 2^-53 and, for
-    # subnormal results, 2^-1074 per hypot.  The slack, 2^-40 relative,
-    # 2^-45 (Mx + My) and 2^-1060 absolute, covers that many times over.  A
-    # dist that overflows needs r_i + R near the largest double, hence the
-    # cap on L; an r that overflows makes every r_k + R infinite, so all
-    # points are kept.  floats=True says that the caller has found every
-    # coordinate a Python float, and spares the scan its own type test; the
-    # scan then takes r and the sweeps with math.dist (see _dist_row).
+    points: Sequence[Sequence[float]], colors: Sequence[int]
+) -> tuple[tuple[int, int] | None, bool, dict[int, list[float]]]:
+    # The first pair in index order, of two colors, with the largest dist,
+    # or None when there is none; whether every coordinate is a Python
+    # float (the rows are then math.dist's, see _dist_row); and the
+    # unmasked distance row of each origin of the two farthest-point
+    # sweeps, by index, so that a caller needing those rows does not build
+    # them again.  Only points that can end such a pair enter the quadratic
+    # scan.  For r_k = |p_k g| and R = max r_k, the triangle inequality
+    # gives |p_i p_j| <= r_i + R, so a pair whose dist reaches the dist L
+    # of some pair of two colors has r_i + R >= L and r_j + R >= L, up to
+    # rounding.  A coordinate difference, in dist or against g, is off by
+    # at most 2^-51 times the largest magnitude M of a coordinate on its
+    # axis: ints and Fractions are rounded to doubles before they meet the
+    # float g, and the subtraction rounds.  Other scalars, such as numpy's,
+    # are first converted as by as_points: int64 differences would wrap
+    # and float32 ones round in single precision.  Hypot and the sum add
+    # relative errors of a few 2^-53 and, for subnormal results, 2^-1074
+    # per hypot.  The slack, 2^-40 relative, 2^-45 (Mx + My) and 2^-1060
+    # absolute, covers that many times over.  A dist that overflows needs
+    # r_i + R near the largest double, hence the cap on L; an r that
+    # overflows makes every r_k + R infinite, so all points are kept.
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
-    if not floats:
-        types = set(map(type, xs + ys))
-        floats = types <= {float}
-        if not types <= {float, int}:
-            xs, ys = list(map(_scalar, xs)), list(map(_scalar, ys))
+    coords = xs + ys
+    types = set(map(type, coords))
+    floats = types <= {float}
+    if not types <= {float, int}:
+        xs, ys = list(map(_scalar, xs)), list(map(_scalar, ys))
+        coords = xs + ys
         points = list(zip(xs, ys))
     try:
-        finite = all(map(math.isfinite, xs + ys))
+        finite = all(map(math.isfinite, coords))
     except OverflowError:
         finite = False
     if not finite:
-        _check_finite(points)
+        _check_finite(zip(xs, ys))
+    sweeps: dict[int, list[float]] = {}
     if not xs:
-        return None
+        return None, floats, sweeps
     x0, x1, y0, y1 = (0.5 * v for v in _bounding_box(xs, ys))
     gx, gy = x0 + x1, y0 + y1
     mxy = max(abs(x0), abs(x1)) + max(abs(y0), abs(y1))  # (Mx + My) / 2
@@ -317,14 +342,14 @@ def _farthest_pair(
     t = r.index(big)  # L: two farthest-point sweeps over the other colors
     for _ in range(2):
         c = colors[t]
-        row = _dist_row(points, points[t], floats)
+        row = sweeps[t] = _dist_row(points, points[t], floats)
         far = max(row)
         last = len(row) - 1 - row[::-1].index(far)  # the last farthest point
         if colors[last] == c:  # it has t's color: leave that color out
             row = [d if ck != c else -1.0 for d, ck in zip(row, colors)]
             far = max(row)
             if far < 0.0:
-                return None
+                return None, floats, sweeps
             last = len(row) - 1 - row[::-1].index(far)
         t = last
     cut = min(far, sys.float_info.max) * (1.0 - 2.0**-40) - 2.0**-44 * mxy - 2.0**-1060
@@ -340,7 +365,7 @@ def _farthest_pair(
                 if dij > best:
                     best = dij
                     pair = (i, j)
-    return pair
+    return pair, floats, sweeps
 
 
 def diametral_pair(points: Sequence[Sequence[float]]) -> tuple[int, int]:
@@ -354,7 +379,7 @@ def diametral_pair(points: Sequence[Sequence[float]]) -> tuple[int, int]:
     """
     if len(points) < 2:
         raise ValueError("too few points")
-    return _farthest_pair(points, range(len(points)))
+    return _farthest_pair(points, range(len(points)))[0]
 
 
 def bichromatic_diametral_pair(
@@ -368,7 +393,7 @@ def bichromatic_diametral_pair(
     """
     if len(points) != len(colors):
         raise ValueError("points and colors differ in length")
-    pair = _farthest_pair(points, colors)
+    pair = _farthest_pair(points, colors)[0]
     if pair is None:
         raise ValueError("no bichromatic pair")
     return pair

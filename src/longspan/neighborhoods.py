@@ -172,10 +172,15 @@ def stnb_label(da: float, db: float, params: StnbParams) -> StnbRegionLabel:
 
 
 def _row_args(nbs: NeighborhoodSet, *origins: Sequence[float]) -> tuple[bool, list[slice]]:
-    # what the rows of one call share: whether every coordinate of nbs's
-    # vertices and of the origins is a Python float, and nbs.ranges as slices
+    # what the rows of one public builder's call share: whether every
+    # coordinate of nbs's vertices and of the origins is a Python float,
+    # and nbs.ranges as slices
     coords = chain.from_iterable(chain(nbs.points, origins))
-    return set(map(type, coords)) == {float}, [slice(r.start, r.stop) for r in nbs.ranges]
+    return set(map(type, coords)) == {float}, _spans(nbs)
+
+
+def _spans(nbs: NeighborhoodSet) -> list[slice]:
+    return [slice(r.start, r.stop) for r in nbs.ranges]
 
 
 def _farthest_row(
@@ -185,7 +190,11 @@ def _farthest_row(
     # nbs, and each neighborhood's largest one.  The candidates' one
     # distance kernel.  floats and spans are _row_args': when floats is
     # True, math.dist builds the row (see geometry._dist_row).
-    row = _dist_row(nbs.points, origin, floats)
+    return _with_tops(_dist_row(nbs.points, origin, floats), spans)
+
+
+def _with_tops(row: list[float], spans: list[slice]) -> tuple[list[float], list[float]]:
+    # row and the largest distance in each neighborhood's slice of it
     return row, list(map(max, map(row.__getitem__, spans)))
 
 
@@ -271,22 +280,34 @@ def solve_stnb(nbs: NeighborhoodSet) -> SolveReport:
     D, then reports the longest; ties keep the earliest candidate in the
     order S1, S2, S3, D.  Linear after the diametral pair, whose scan is
     near-linear on spread-out vertices and O(N^2) when all lie on a circle.
-    The linear part builds one distance row per origin (a, b and the three
-    centres), in C when every coordinate is a float, and sums each
-    candidate's length from the rows; only the winner's tree is built.  On
-    spread-out float input the scan is about 30% of a call, each row about
-    9%, and the float test with the neighborhoods' slices 7%; README's
-    Scale section gives each phase's cost.
+    The linear part needs the distance rows of a, b and the three centres,
+    in C when every coordinate is a float, and sums each candidate's length
+    from them; only the winner's tree is built.  The scan hands over its
+    float test and the rows of its two sweep origins, so a call builds 6
+    rows, the scan's three included, when (a, b) is the sweep pair, as on
+    most spread-out input, and 8 when no origin of the call is a sweep
+    origin, as on a circle.  On spread-out float input the scan, with the
+    one type test, is about a third of a call and each row built afresh
+    about 10%; README's Scale section gives each phase's cost.
     Raises ValueError when (n - 1) * |ab| overflows a double.
     """
-    floats, spans = _row_args(nbs)
-    a, b = _farthest_pair(nbs.points, nbs.colors, floats)  # a set has two colors
+    (a, b), floats, sweeps = _farthest_pair(nbs.points, nbs.colors)  # a set has two colors
     pa, pb = nbs.points[a], nbs.points[b]
     ab = dist(pa, pb)
     _check_length_bound(nbs.n - 1, ab)
 
-    row_a, top_a = _farthest_row(nbs, pa, floats, spans)
-    row_b, top_b = _farthest_row(nbs, pb, floats, spans)
+    spans, rows = _spans(nbs), {}
+
+    def farthest_row(v: int) -> tuple[list[float], list[float]]:
+        # vertex v's row and maxima, each built once; the scan has built
+        # its sweep origins' rows
+        if v not in rows:
+            rows[v] = (_with_tops(sweeps[v], spans) if v in sweeps
+                       else _farthest_row(nbs, nbs.points[v], floats, spans))
+        return rows[v]
+
+    row_a, top_a = farthest_row(a)
+    row_b, top_b = farthest_row(b)
     far_a, far_b = _farthest(nbs, row_a, top_a), _farthest(nbs, row_b, top_b)
     sums = list(map(add, row_a, row_b))
     centers = {
@@ -294,16 +315,13 @@ def solve_stnb(nbs: NeighborhoodSet) -> SolveReport:
         "S2": far_b[nbs.owner[b]],
         "S3": sums.index(max(sums)),
     }
-    lengths, rows = {}, {}
-    for name, center in centers.items():
-        row, top = rows[name] = _farthest_row(nbs, nbs.points[center], floats, spans)
-        lengths[name] = _star_length(top, nbs.owner[center])
+    lengths = {name: _star_length(farthest_row(v)[1], nbs.owner[v]) for name, v in centers.items()}
     lengths["D"], reps, edges = _double_star(nbs, a, b, far_a, top_a, far_b, top_b)
     name = max(lengths, key=lengths.get)  # the first of equal lengths
     if name == "D":
         winner = _stnb_solution(nbs, reps, edges, "D", lengths["D"])
     else:
-        winner = _star(nbs, centers[name], *rows[name], name)
+        winner = _star(nbs, centers[name], *farthest_row(centers[name]), name)
 
     upper = (nbs.n - 1) * ab
     return SolveReport(

@@ -221,6 +221,61 @@ def test_orientation_takes_products_beyond_the_double_range():
         small.candidate, small.tree.edges, small.guess) == ("star", ((0, 2), (1, 2), (2, 3)), None)
 
 
+def _mixed_scalar(rng, base):
+    # base + a small offset as an int, a Fraction or a float: at 2^54 and
+    # above, the int and the Fraction are mostly not doubles
+    off = rng.randrange(-600, 601)
+    kind = rng.randrange(4)
+    if kind == 0:
+        return base + off
+    if kind == 1:
+        return Fraction(base + off) + Fraction(rng.randrange(7), 7)
+    if kind == 2:
+        return float(base + off)
+    return float(rng.randrange(-3, 4)) + rng.choice((0.0, 0.5))
+
+
+def test_as_points_makes_mixed_coordinate_differences_exact():
+    # 2^60 + 129 rounds to 2^60 + 256 when it meets a float, and the float
+    # filter then trusts the sign LEFT; exact, it is RIGHT
+    for mid in (2**60 + 129, Fraction(2**60 + 129)):
+        tri = [(2.0**60, 0.0), (mid, 1), (2.0**60 + 256, 1.5)]
+        assert orientation(*tri) == LEFT
+        assert orientation(*as_points(tri)) == orientation_reference(*tri) == RIGHT
+    # a float meeting only ints and Fractions that doubles hold stays a float
+    assert [type(c) for p in as_points([(0.5, 2**60), (Fraction(3, 4), 1)]) for c in p] == [
+        float, int, Fraction, int]
+    assert as_points([(0.5, 2**60 + 1)])[0] == (Fraction(1, 2), 2**60 + 1)
+
+
+def test_orientation_matches_reference_on_mixed_input():
+    rng = random.Random(20201007)
+    raw_wrong = 0
+    for _ in range(3000):
+        base = rng.choice((2**54, 2**60, -(2**70)))
+        tri = [(_mixed_scalar(rng, base), _mixed_scalar(rng, 0)) for _ in range(3)]
+        expected = orientation_reference(*tri)
+        assert orientation(*as_points(tri)) == expected, tri
+        raw_wrong += orientation(*tri) != expected
+    assert raw_wrong > 0  # the sample reaches the filter's rounding gap
+
+
+def test_solve_ncst_on_mixed_input_matches_its_fraction_twin():
+    rng = random.Random(7)
+    for _ in range(40):
+        pts = [(rng.choice((int, float))(2**60 + rng.randrange(4096)), rng.randrange(-3, 4))
+               for _ in range(rng.randrange(5, 9))]
+        twin = [(Fraction(x), Fraction(y)) for x, y in pts]
+        outcomes = []
+        for run in (pts, twin):
+            try:
+                rep = solve_ncst(run)
+                outcomes.append((rep.candidate, rep.tree.edges, rep.guess, rep.length))
+            except ValueError as err:  # no noncrossing candidate on either
+                outcomes.append(str(err))
+        assert outcomes[0] == outcomes[1], pts
+
+
 def test_segments_cross_examples():
     assert segments_cross(((0, 0), (1, 1)), ((0, 1), (1, 0))) is True
     assert segments_cross(((0, 0), (1, 0)), ((1, 0), (1, 1))) is False

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from longspan import geometry, neighborhoods
 from longspan.geometry import bichromatic_diametral_pair, dist
 from longspan.instances import GenSpec, generate
 from longspan.neighborhoods import (
@@ -38,6 +39,18 @@ def _random_nbs(rng, n=None, k=None) -> NeighborhoodSet:
             (cx + rng.uniform(-0.1, 0.1), cy + rng.uniform(-0.1, 0.1))
             for _ in range(k)
         )
+        nbs.append(Neighborhood(color, (ring,)))
+    return NeighborhoodSet(nbs)
+
+
+def _circle_nbs(rng, n, k) -> NeighborhoodSet:
+    # n arcs of the circle of radius 1/2 around (1/2, 1/2), k vertices
+    # each: every vertex is on the convex hull and survives the scan's filter
+    nbs = []
+    for color in range(1, n + 1):
+        mid = rng.uniform(0.0, 2.0 * math.pi)
+        angles = sorted(mid + rng.uniform(-0.15, 0.15) for _ in range(k))
+        ring = tuple((0.5 + 0.5 * math.cos(t), 0.5 + 0.5 * math.sin(t)) for t in angles)
         nbs.append(Neighborhood(color, (ring,)))
     return NeighborhoodSet(nbs)
 
@@ -207,10 +220,15 @@ def test_solve_stnb_report_fields():
 
 def _stnb_corpus(rng):
     """Neighborhood sets of every shape the candidate layer must not get
-    wrong: floats, ints and Fractions, duplicate vertices, singletons, two
-    neighborhoods, and lattice vertices with many equal distances."""
+    wrong: floats, ints and Fractions, ints mixed with floats, duplicate
+    vertices, singletons, two neighborhoods, lattice vertices with many
+    equal distances, and arcs of one circle, where the rows of a and b
+    are rarely the scan's sweep rows and are built afresh."""
     def nbs_of(rings):
         return NeighborhoodSet([Neighborhood(c + 1, (ring,)) for c, ring in enumerate(rings)])
+
+    def mixed(v):  # v as an int or as a float, at random
+        return rng.choice((int, float))(v)
 
     for _ in range(25):
         yield _random_nbs(rng, n=rng.randrange(2, 9), k=rng.randrange(1, 6))
@@ -224,10 +242,18 @@ def _stnb_corpus(rng):
                             for _ in range(rng.randrange(1, 4))) for _ in range(n)])
         base = [(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(3)]
         yield nbs_of([tuple(rng.choice(base) for _ in range(rng.randrange(1, 4))) for _ in range(n)])
+        yield _circle_nbs(rng, n, rng.randrange(1, 6))
+        # ints and floats side by side; beyond 2^53 a ring that mixes them
+        # holds its floats as Fractions
+        for scale in (1, 10**20):
+            yield nbs_of([tuple((mixed(rng.randrange(-9, 10) * scale + rng.randrange(3)),
+                                 mixed(rng.randrange(-9, 10))) for _ in range(rng.randrange(1, 4)))
+                          for _ in range(n)])
     for kind, n, k in (("random_neighborhoods", 40, 4), ("random_neighborhoods", 12, 1),
                        ("diam_counterexample", 10, None)):
         yield generate(GenSpec(kind=kind, n=n, seed=rng.randrange(1000), vertices_per_nb=k,
                                epsilon=0.1 if k is None else None))
+    yield _circle_nbs(rng, 60, 4)
 
 
 def test_solve_stnb_matches_reference():
@@ -268,6 +294,31 @@ def test_solve_stnb_keeps_exact_differences_of_ints_and_fractions():
         assert rep.metrics == ref["metrics"]
         assert bichromatic_diametral_pair(exact.points, exact.colors) == farthest_pair_reference(
             exact.points, exact.colors)
+
+
+def test_solve_stnb_builds_each_distance_row_once(monkeypatch):
+    # The scan builds three rows: to the bounding-box centre and from its
+    # two sweep origins.  When a and b are those origins, solve_stnb takes
+    # their rows from the scan and builds only the three star centres' rows;
+    # on a circle they are not, and it builds all five of its own.
+    spread = generate(GenSpec("random_neighborhoods", 60, 1, vertices_per_nb=4))
+    circle = _circle_nbs(random.Random(1), 60, 4)
+    dist_row, built = geometry._dist_row, []
+
+    def counting_row(points, origin, floats):
+        built.append(origin)
+        return dist_row(points, origin, floats)
+
+    for nbs, rows, shared in ((spread, 6, {0, 1}), (circle, 8, set())):
+        pair, _, sweeps = geometry._farthest_pair(nbs.points, nbs.colors)
+        assert {k for k in (0, 1) if pair[k] in sweeps} == shared
+        with monkeypatch.context() as m:
+            for module in (geometry, neighborhoods):
+                m.setattr(module, "_dist_row", counting_row)
+            built.clear()
+            rep = solve_stnb(nbs)
+        assert len(built) == rows
+        assert rep.metrics == solve_stnb_reference(nbs)["metrics"]
 
 
 def test_double_star_dominates_anchor_stars_and_edge_floor():
