@@ -7,14 +7,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from itertools import chain
 from operator import add, ge, itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .geometry import (
-    Point, _check_length_bound, _dist_row, _farthest_pair, as_points, bichromatic_diametral_pair,
-    dist,
+    Point, _check_length_bound, _dist_row, _farthest_pair, as_points, dist,
 )
 from .report import SolveReport
 from .trees import Tree, tree_length
@@ -71,6 +70,10 @@ class NeighborhoodSet:
                 self.colors.append(nb.color)
                 self.owner.append(k)
             self.ranges.append(range(start, len(self.points)))
+        # Neighborhood converts each ring alone; across rings, as_points
+        # makes every float a Fraction when an int or Fraction needs it
+        if set(map(type, chain.from_iterable(self.points))) != {float}:
+            self.points = as_points(self.points)
 
     @property
     def n(self) -> int:
@@ -171,59 +174,52 @@ def stnb_label(da: float, db: float, params: StnbParams) -> StnbRegionLabel:
     )
 
 
-def _row_args(nbs: NeighborhoodSet, *origins: Sequence[float]) -> tuple[bool, list[slice]]:
-    # what the rows of one public builder's call share: whether every
-    # coordinate of nbs's vertices and of the origins is a Python float,
-    # and nbs.ranges as slices
-    coords = chain.from_iterable(chain(nbs.points, origins))
-    return set(map(type, coords)) == {float}, _spans(nbs)
+def _rows(
+    nbs: NeighborhoodSet, floats: bool | None = None, built: dict[int, list[float]] | None = None
+) -> Callable[[int], tuple[list[float], list[float]]]:
+    # row(v): the distances |u v|, as by dist, from vertex v to every
+    # vertex u of nbs, and each neighborhood's largest one, built once per
+    # v: the neighborhood layer's one row source.  floats is whether every
+    # coordinate is a Python float (math.dist then builds the row, see
+    # geometry._dist_row), read off nbs.points when None; built holds rows
+    # already made, by vertex, such as the diametral scan's sweep rows.
+    if floats is None:
+        floats = set(map(type, chain.from_iterable(nbs.points))) == {float}
+    built = built or {}
+    spans = [slice(r.start, r.stop) for r in nbs.ranges]
 
+    @cache
+    def row(v: int) -> tuple[list[float], list[float]]:
+        r = built.get(v) or _dist_row(nbs.points, nbs.points[v], floats)
+        return r, list(map(max, map(r.__getitem__, spans)))
 
-def _spans(nbs: NeighborhoodSet) -> list[slice]:
-    return [slice(r.start, r.stop) for r in nbs.ranges]
-
-
-def _farthest_row(
-    nbs: NeighborhoodSet, origin: Sequence[float], floats: bool, spans: list[slice]
-) -> tuple[list[float], list[float]]:
-    # The distances |v origin|, as by dist, from origin to every vertex of
-    # nbs, and each neighborhood's largest one.  The candidates' one
-    # distance kernel.  floats and spans are _row_args': when floats is
-    # True, math.dist builds the row (see geometry._dist_row).
-    return _with_tops(_dist_row(nbs.points, origin, floats), spans)
-
-
-def _with_tops(row: list[float], spans: list[slice]) -> tuple[list[float], list[float]]:
-    # row and the largest distance in each neighborhood's slice of it
-    return row, list(map(max, map(row.__getitem__, spans)))
-
-
-def _farthest(nbs: NeighborhoodSet, row: list[float], top: list[float]) -> list[int]:
-    # the vertex of each neighborhood farthest from row's origin, ties to
-    # the smallest index
-    return [row.index(m, r.start, r.stop) for m, r in zip(top, nbs.ranges)]
+    return row
 
 
 def farthest_vertex_in(nbs: NeighborhoodSet, color: int, origin: Sequence[float]) -> int:
     """Flattened index of the vertex of the given neighborhood farthest from
     origin; ties break to the smallest index.  Raises ValueError when no
     neighborhood has the color."""
-    row = _farthest_row(nbs, origin, *_row_args(nbs, origin))
-    return _farthest(nbs, *row)[nbs.owner[nbs.colors.index(color)]]
+    r = nbs.ranges[nbs.owner[nbs.colors.index(color)]]
+    part = nbs.points[r.start:r.stop]
+    row = _dist_row(part, origin, set(map(type, chain(*part, origin))) == {float})
+    return r.start + row.index(max(row))
 
 
 def _double_star(
-    nbs: NeighborhoodSet, a: int, b: int, far_a, top_a, far_b, top_b
+    nbs: NeighborhoodSet, a: int, b: int, row
 ) -> tuple[float, list[int], list[tuple[int, int]]]:
-    # build_double_star from the farthest vertices of a and b: its length,
+    # build_double_star from the row source row (see _rows): its length,
     # representatives and sorted edges.  The length adds each edge's
     # distance from the rows in sorted edge order, as tree_length does; the
     # (i, j, length) triples sort by edge, since no two share one.
     ka, kb = nbs.owner[a], nbs.owner[b]
     if ka == kb:
         raise ValueError("double-star anchors must have different colors")
+    (row_a, top_a), (row_b, top_b) = row(a), row(b)
     to_a = list(map(ge, top_a, top_b))
-    reps = [fa if t else fb for fa, fb, t in zip(far_a, far_b, to_a)]
+    reps = [row_a.index(ta, r.start, r.stop) if t else row_b.index(tb, r.start, r.stop)
+            for ta, tb, t, r in zip(top_a, top_b, to_a, nbs.ranges)]
     reps[ka], reps[kb] = a, b
     # every position but kb joins a hub: ka joins kb, the others a or b
     hubs = [ka if t else kb for t in to_a]
@@ -243,10 +239,7 @@ def build_double_star(nbs: NeighborhoodSet, a: int, b: int) -> StnbSolution:
     Every non-ab edge has length at least |ab|/2 whenever (a, b) is a
     bichromatic diametral pair.
     """
-    args = _row_args(nbs)
-    (row_a, top_a), (row_b, top_b) = (_farthest_row(nbs, nbs.points[v], *args) for v in (a, b))
-    far_a, far_b = _farthest(nbs, row_a, top_a), _farthest(nbs, row_b, top_b)
-    length, reps, edges = _double_star(nbs, a, b, far_a, top_a, far_b, top_b)
+    length, reps, edges = _double_star(nbs, a, b, _rows(nbs))
     return _stnb_solution(nbs, reps, edges, "D", length)
 
 
@@ -256,10 +249,12 @@ def _star_length(top: list[float], kc: int) -> float:
     return reduce(add, top[:kc] + top[kc + 1:], 0.0)
 
 
-def _star(nbs: NeighborhoodSet, center: int, row, top, candidate: str) -> StnbSolution:
-    # longest_spanning_star_nb from center's row
+def _star(nbs: NeighborhoodSet, center: int, row, candidate: str) -> StnbSolution:
+    # longest_spanning_star_nb from the row source row (see _rows); each
+    # farthest vertex is the first index of its neighborhood's maximum
     kc = nbs.owner[center]
-    reps = _farthest(nbs, row, top)
+    far, top = row(center)
+    reps = [far.index(m, r.start, r.stop) for m, r in zip(top, nbs.ranges)]
     reps[kc] = center
     edges = [(kc, k) for k in range(nbs.n) if k != kc]
     return _stnb_solution(nbs, reps, edges, candidate, _star_length(top, kc))
@@ -268,7 +263,7 @@ def _star(nbs: NeighborhoodSet, center: int, row, top, candidate: str) -> StnbSo
 def longest_spanning_star_nb(nbs: NeighborhoodSet, center: int) -> StnbSolution:
     """Longest spanning star centered at a vertex: the center represents its
     own neighborhood and connects to the farthest vertex of every other."""
-    return _star(nbs, center, *_farthest_row(nbs, nbs.points[center], *_row_args(nbs)), "star")
+    return _star(nbs, center, _rows(nbs), "star")
 
 
 def solve_stnb(nbs: NeighborhoodSet) -> SolveReport:
@@ -292,36 +287,26 @@ def solve_stnb(nbs: NeighborhoodSet) -> SolveReport:
     Raises ValueError when (n - 1) * |ab| overflows a double.
     """
     (a, b), floats, sweeps = _farthest_pair(nbs.points, nbs.colors)  # a set has two colors
-    pa, pb = nbs.points[a], nbs.points[b]
-    ab = dist(pa, pb)
+    ab = dist(nbs.points[a], nbs.points[b])
     _check_length_bound(nbs.n - 1, ab)
 
-    spans, rows = _spans(nbs), {}
-
-    def farthest_row(v: int) -> tuple[list[float], list[float]]:
-        # vertex v's row and maxima, each built once; the scan has built
-        # its sweep origins' rows
-        if v not in rows:
-            rows[v] = (_with_tops(sweeps[v], spans) if v in sweeps
-                       else _farthest_row(nbs, nbs.points[v], floats, spans))
-        return rows[v]
-
-    row_a, top_a = farthest_row(a)
-    row_b, top_b = farthest_row(b)
-    far_a, far_b = _farthest(nbs, row_a, top_a), _farthest(nbs, row_b, top_b)
+    row = _rows(nbs, floats, sweeps)
+    (row_a, top_a), (row_b, top_b) = row(a), row(b)
+    ka, kb = nbs.owner[a], nbs.owner[b]
+    ra, rb = nbs.ranges[ka], nbs.ranges[kb]
     sums = list(map(add, row_a, row_b))
     centers = {
-        "S1": far_a[nbs.owner[a]],
-        "S2": far_b[nbs.owner[b]],
+        "S1": row_a.index(top_a[ka], ra.start, ra.stop),
+        "S2": row_b.index(top_b[kb], rb.start, rb.stop),
         "S3": sums.index(max(sums)),
     }
-    lengths = {name: _star_length(farthest_row(v)[1], nbs.owner[v]) for name, v in centers.items()}
-    lengths["D"], reps, edges = _double_star(nbs, a, b, far_a, top_a, far_b, top_b)
+    lengths = {name: _star_length(row(v)[1], nbs.owner[v]) for name, v in centers.items()}
+    lengths["D"], reps, edges = _double_star(nbs, a, b, row)
     name = max(lengths, key=lengths.get)  # the first of equal lengths
     if name == "D":
         winner = _stnb_solution(nbs, reps, edges, "D", lengths["D"])
     else:
-        winner = _star(nbs, centers[name], *farthest_row(centers[name]), name)
+        winner = _star(nbs, centers[name], row, name)
 
     upper = (nbs.n - 1) * ab
     return SolveReport(
@@ -362,13 +347,13 @@ def stnb_region_report(nbs: NeighborhoodSet) -> StnbRegionReport:
     """Classify every flattened vertex against the lenses L, L1, L2, L' and
     the ellipse E of the bichromatic diametral pair (a, b), from its
     distances to a and b divided by |ab|."""
-    a, b = bichromatic_diametral_pair(nbs.points, nbs.colors)
-    pa, pb = nbs.points[a], nbs.points[b]
-    ab = dist(pa, pb)
+    (a, b), floats, sweeps = _farthest_pair(nbs.points, nbs.colors)
+    ab = dist(nbs.points[a], nbs.points[b])
     if ab == 0.0:
         raise ValueError("coincident pair")
     params = stnb_params()
-    unit = [(dist(p, pa) / ab, dist(p, pb) / ab) for p in nbs.points]
+    row = _rows(nbs, floats, sweeps)
+    unit = [(da / ab, db / ab) for da, db in zip(row(a)[0], row(b)[0])]
     labels = tuple(stnb_label(da, db, params) for da, db in unit)
     m = sum(
         all(unit[k][0] < params.core_radius and unit[k][1] < params.core_radius for k in r)

@@ -12,7 +12,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .geometry import _bounding_box, _check_length_bound, _first_crossing, _segment, as_points, dist
+from .geometry import (
+    _bounding_box, _check_length_bound, _first_crossing, _segment, as_points, bichromatic_diametral_pair,
+    dist,
+)
 from .neighborhoods import NeighborhoodSet, StnbSolution, _stnb_solution
 from .report import SolveReport
 from .trees import Tree, _prim, tree_length
@@ -113,8 +116,9 @@ def exact_stnb(nbs: NeighborhoodSet, max_assignments: int = 10**6) -> StnbSoluti
 
     Every combination of one vertex per neighborhood is scored with an exact
     maximum spanning tree; the guard errors out (rather than truncating)
-    when the assignment space exceeds max_assignments.  Input where (n - 1)
-    times the bichromatic diameter overflows is rejected, as by solve_stnb.
+    when the assignment space exceeds max_assignments.  Input whose extent
+    overflows a double, or where (n - 1) times the bichromatic diameter
+    does, is rejected with solve_stnb's message.
     """
     space = 1
     for r in nbs.ranges:
@@ -123,10 +127,9 @@ def exact_stnb(nbs: NeighborhoodSet, max_assignments: int = 10**6) -> StnbSoluti
             raise ValueError("instance too large for oracle")
 
     npts = nbs.points
+    a, b = bichromatic_diametral_pair(npts, nbs.colors)
+    _check_length_bound(nbs.n - 1, dist(npts[a], npts[b]))
     dmat = [[dist(p, q) for q in npts] for p in npts]
-    longest = max((dmat[i][j] for i, j in itertools.combinations(range(len(npts)), 2)
-                   if nbs.colors[i] != nbs.colors[j]), default=0.0)
-    _check_length_bound(nbs.n - 1, longest)
     best_len = -1.0
     best_assign: tuple[int, ...] | None = None
     for assign in itertools.product(*nbs.ranges):

@@ -197,15 +197,8 @@ def best_star(points: Sequence[Sequence[float]]) -> tuple[Tree, int]:
     """The longest star over all centers; ties break to the smallest center."""
     if not points:
         raise ValueError("empty point set")
-    best_tree = star(points, 0)
-    best_len = tree_length(best_tree, points)
-    best_center = 0
-    for c in range(1, len(points)):
-        t = star(points, c)
-        length = tree_length(t, points)
-        if length > best_len:
-            best_tree, best_len, best_center = t, length, c
-    return best_tree, best_center
+    center = max(range(len(points)), key=lambda c: tree_length(star(points, c), points))
+    return star(points, center), center
 
 
 @dataclass(frozen=True)

@@ -168,12 +168,24 @@ def fermat_grid_oracle(a, b, c, steps: int = 60, rounds: int = 10) -> float:
     return best[1]
 
 
+def farthest_vertex_reference(nbs, color, origin) -> int:
+    """The first vertex of the given color with the largest hypot distance
+    from origin, one vertex at a time."""
+    best = None
+    for v, p in enumerate(nbs.points):
+        d = math.hypot(p[0] - origin[0], p[1] - origin[1])
+        if nbs.colors[v] == color and (best is None or d > best[0]):
+            best = d, v
+    return best[1]
+
+
 def solve_stnb_reference(nbs) -> dict:
     """The 0.524 algorithm written vertex by vertex: the pair (a, b) from
-    farthest_pair_reference, each farthest vertex and the S3 centre from
-    one hypot per vertex, and all four candidates S1, S2, S3, D built as
-    trees and summed edge by edge in sorted edge order.  Returns the
-    report's fields (the tree as its sorted edge list)."""
+    farthest_pair_reference, each farthest vertex from
+    farthest_vertex_reference, the S3 centre from one hypot per vertex, and
+    all four candidates S1, S2, S3, D built as trees and summed edge by
+    edge in sorted edge order.  Returns the report's fields (the tree as
+    its sorted edge list)."""
     points, colors = nbs.points, nbs.colors
     order = [nb.color for nb in nbs.neighborhoods]
 
@@ -181,11 +193,7 @@ def solve_stnb_reference(nbs) -> dict:
         return math.hypot(p[0] - q[0], p[1] - q[1])
 
     def farthest(color, origin):
-        best = None
-        for v in range(len(points)):
-            if colors[v] == color and (best is None or d(points[v], origin) > d(points[best], origin)):
-                best = v
-        return best
+        return farthest_vertex_reference(nbs, color, origin)
 
     def candidate(name, reps, edges):
         edges = sorted((min(i, j), max(i, j)) for i, j in edges)

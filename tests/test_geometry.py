@@ -84,7 +84,8 @@ def test_finite_input_whose_extent_overflows_is_rejected():
     # |x extent| = 2e308: every solver used to report infinite lengths
     pts = [(-1e308, 0), (1e308, 0), (0, 1), (0, -1), (5e307, 3)]
     nbs = NeighborhoodSet([Neighborhood(k, ((p,),)) for k, p in enumerate(pts)])
-    for solve in (solve_ncst, exact_ncst, diametral_pair, lambda _: solve_stnb(nbs)):
+    for solve in (solve_ncst, exact_ncst, diametral_pair, lambda _: solve_stnb(nbs),
+                  lambda _: exact_stnb(nbs)):
         with pytest.raises(ValueError, match="the x extent of the points overflows a double"):
             solve(pts)
     with pytest.raises(ValueError, match="the y extent"):

@@ -20,7 +20,7 @@ from longspan.neighborhoods import (
 from longspan.oracles import exact_stnb
 from longspan.trees import validate_spanning_tree
 
-from helpers import farthest_pair_reference, solve_stnb_reference
+from helpers import farthest_pair_reference, farthest_vertex_reference, solve_stnb_reference
 
 
 def _singletons(*pts) -> NeighborhoodSet:
@@ -243,8 +243,8 @@ def _stnb_corpus(rng):
         base = [(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(3)]
         yield nbs_of([tuple(rng.choice(base) for _ in range(rng.randrange(1, 4))) for _ in range(n)])
         yield _circle_nbs(rng, n, rng.randrange(1, 6))
-        # ints and floats side by side; beyond 2^53 a ring that mixes them
-        # holds its floats as Fractions
+        # ints and floats side by side; beyond 2^53 the set holds its
+        # floats as Fractions
         for scale in (1, 10**20):
             yield nbs_of([tuple((mixed(rng.randrange(-9, 10) * scale + rng.randrange(3)),
                                  mixed(rng.randrange(-9, 10))) for _ in range(rng.randrange(1, 4)))
@@ -319,6 +319,47 @@ def test_solve_stnb_builds_each_distance_row_once(monkeypatch):
             rep = solve_stnb(nbs)
         assert len(built) == rows
         assert rep.metrics == solve_stnb_reference(nbs)["metrics"]
+
+
+def test_public_builders_read_the_solver_rows():
+    # build_double_star, longest_spanning_star_nb and farthest_vertex_in
+    # take their rows from the same source as solve_stnb, so their lengths
+    # and choices equal the solver's bit for bit, on float, int, Fraction
+    # and mixed sets
+    for nbs in _stnb_corpus(random.Random(16)):
+        rep = solve_stnb(nbs)
+        lengths = rep.metrics["candidate_lengths"]
+        pts, colors = nbs.points, nbs.colors
+        a, b = rep.metrics["ab_pair"]
+        assert build_double_star(nbs, a, b).length == lengths["D"]
+        centers = {
+            "S1": farthest_vertex_reference(nbs, colors[a], pts[a]),
+            "S2": farthest_vertex_reference(nbs, colors[b], pts[b]),
+            "S3": max(range(len(pts)), key=lambda v: dist(pts[v], pts[a]) + dist(pts[v], pts[b])),
+        }
+        for name, c in centers.items():
+            assert longest_spanning_star_nb(nbs, c).length == lengths[name]
+        for origin in (pts[a], pts[b], pts[centers["S3"]], (Fraction(1, 3), 0.5)):
+            for color in {colors[a], colors[b], colors[-1]}:
+                assert farthest_vertex_in(nbs, color, origin) == farthest_vertex_reference(
+                    nbs, color, origin)
+
+
+def test_mixed_rings_are_exact_across_rings():
+    # a float ring beside rings of ints that no double holds: the set makes
+    # its floats Fractions, so the scan, the rows and the oracle see exact
+    # differences and agree with the all-Fraction twin
+    rings = [(2.0**60, 0.0)], [(2**60 + 129, 1)], [(2**60 + 200, 0)]
+    mixed, twin = (
+        NeighborhoodSet([Neighborhood(k, (tuple((cast(x), cast(y)) for x, y in ring),))
+                         for k, ring in enumerate(rings)])
+        for cast in (lambda c: c, Fraction)
+    )
+    rep, ref = solve_stnb(mixed), solve_stnb(twin)
+    assert rep.metrics["ab_pair"] == ref.metrics["ab_pair"] == [0, 2]
+    assert rep.metrics["ab_length"] == ref.metrics["ab_length"] == 200.0
+    assert rep.length == ref.length
+    assert exact_stnb(mixed).length == exact_stnb(twin).length
 
 
 def test_double_star_dominates_anchor_stars_and_edge_floor():
