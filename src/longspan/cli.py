@@ -195,33 +195,24 @@ def _cmd_oracle(args) -> int:
 
 
 def _match_representatives(report: SolveReport, nbs: NeighborhoodSet) -> bool:
-    # each tree point must be a vertex of a distinct neighborhood: find a
-    # perfect point -> color matching by backtracking (n is small)
-    option_sets = []
-    for p in report.points:
-        colors = {
-            nbs.colors[k]
-            for k in range(len(nbs.points))
-            if nbs.points[k] == tuple(p)
-        }
-        if not colors:
-            return False
-        option_sets.append(colors)
+    # each tree point must be a vertex of a distinct neighborhood: a perfect
+    # point -> color matching, grown by augmenting paths (Kuhn's algorithm)
+    colors_at: dict[tuple, set[int]] = {}
+    for p, color in zip(nbs.points, nbs.colors):
+        colors_at.setdefault(tuple(p), set()).add(color)
+    options = [colors_at.get(tuple(p), ()) for p in report.points]
+    match: dict[int, int] = {}  # color -> the tree point it represents
 
-    used: set[int] = set()
-
-    def assign(k: int) -> bool:
-        if k == len(option_sets):
-            return True
-        for color in sorted(option_sets[k]):
-            if color not in used:
-                used.add(color)
-                if assign(k + 1):
+    def augment(k: int, seen: set[int]) -> bool:
+        for color in options[k]:
+            if color not in seen:
+                seen.add(color)
+                if color not in match or augment(match[color], seen):
+                    match[color] = k
                     return True
-                used.discard(color)
         return False
 
-    return len(option_sets) == nbs.n and assign(0)
+    return len(options) == nbs.n and all(augment(k, set()) for k in range(nbs.n))
 
 
 def _cmd_check(args) -> int:

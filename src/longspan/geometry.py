@@ -295,45 +295,32 @@ def _check_length_bound(edges: int, longest: float) -> None:
 
 def _farthest_pair(
     points: Sequence[Sequence[float]], colors: Sequence[int]
-) -> tuple[tuple[int, int] | None, bool, dict[int, list[float]]]:
+) -> tuple[tuple[int, int] | None, dict[int, list[float]]]:
     # The first pair in index order, of two colors, with the largest dist,
-    # or None when there is none; whether every coordinate is a Python
-    # float (the rows are then math.dist's, see _dist_row); and the
-    # unmasked distance row of each origin of the two farthest-point
-    # sweeps, by index, so that a caller needing those rows does not build
-    # them again.  Only points that can end such a pair enter the quadratic
-    # scan.  For r_k = |p_k g| and R = max r_k, the triangle inequality
-    # gives |p_i p_j| <= r_i + R, so a pair whose dist reaches the dist L
-    # of some pair of two colors has r_i + R >= L and r_j + R >= L, up to
-    # rounding.  A coordinate difference, in dist or against g, is off by
-    # at most 2^-51 times the largest magnitude M of a coordinate on its
-    # axis: ints and Fractions are rounded to doubles before they meet the
-    # float g, and the subtraction rounds.  Other scalars, such as numpy's,
-    # are first converted as by as_points: int64 differences would wrap
-    # and float32 ones round in single precision.  Hypot and the sum add
-    # relative errors of a few 2^-53 and, for subnormal results, 2^-1074
-    # per hypot.  The slack, 2^-40 relative, 2^-45 (Mx + My) and 2^-1060
-    # absolute, covers that many times over.  A dist that overflows needs
-    # r_i + R near the largest double, hence the cap on L; an r that
-    # overflows makes every r_k + R infinite, so all points are kept.
+    # or None when there is none; and the unmasked distance row of each
+    # origin of the two farthest-point sweeps, by index, so that a caller
+    # needing those rows does not build them again.  The points are
+    # as_points output or a NeighborhoodSet's, so their coordinates are
+    # finite Python scalars with exact differences.  Only points that can
+    # end such a pair enter the quadratic scan.  For r_k = |p_k g| and
+    # R = max r_k, the triangle inequality gives |p_i p_j| <= r_i + R, so a
+    # pair whose dist reaches the dist L of some pair of two colors has
+    # r_i + R >= L and r_j + R >= L, up to rounding.  A coordinate
+    # difference, in dist or against g, is off by at most 2^-51 times the
+    # largest magnitude M of a coordinate on its axis: ints and Fractions
+    # are rounded to doubles before they meet the float g, and the
+    # subtraction rounds.  Hypot and the sum add relative errors of a few
+    # 2^-53 and, for subnormal results, 2^-1074 per hypot.  The slack,
+    # 2^-40 relative, 2^-45 (Mx + My) and 2^-1060 absolute, covers that
+    # many times over.  A dist that overflows needs r_i + R near the
+    # largest double, hence the cap on L; an r that overflows makes every
+    # r_k + R infinite, so all points are kept.
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
-    coords = xs + ys
-    types = set(map(type, coords))
-    floats = types <= {float}
-    if not types <= {float, int}:
-        xs, ys = list(map(_scalar, xs)), list(map(_scalar, ys))
-        coords = xs + ys
-        points = list(zip(xs, ys))
-    try:
-        finite = all(map(math.isfinite, coords))
-    except OverflowError:
-        finite = False
-    if not finite:
-        _check_finite(zip(xs, ys))
+    floats = set(map(type, xs + ys)) <= {float}  # the rows are then math.dist's, see _dist_row
     sweeps: dict[int, list[float]] = {}
     if not xs:
-        return None, floats, sweeps
+        return None, sweeps
     x0, x1, y0, y1 = (0.5 * v for v in _bounding_box(xs, ys))
     gx, gy = x0 + x1, y0 + y1
     mxy = max(abs(x0), abs(x1)) + max(abs(y0), abs(y1))  # (Mx + My) / 2
@@ -349,7 +336,7 @@ def _farthest_pair(
             row = [d if ck != c else -1.0 for d, ck in zip(row, colors)]
             far = max(row)
             if far < 0.0:
-                return None, floats, sweeps
+                return None, sweeps
             last = len(row) - 1 - row[::-1].index(far)
         t = last
     cut = min(far, sys.float_info.max) * (1.0 - 2.0**-40) - 2.0**-44 * mxy - 2.0**-1060
@@ -365,7 +352,7 @@ def _farthest_pair(
                 if dij > best:
                     best = dij
                     pair = (i, j)
-    return pair, floats, sweeps
+    return pair, sweeps
 
 
 def diametral_pair(points: Sequence[Sequence[float]]) -> tuple[int, int]:
@@ -379,7 +366,7 @@ def diametral_pair(points: Sequence[Sequence[float]]) -> tuple[int, int]:
     """
     if len(points) < 2:
         raise ValueError("too few points")
-    return _farthest_pair(points, range(len(points)))[0]
+    return _farthest_pair(as_points(points), range(len(points)))[0]
 
 
 def bichromatic_diametral_pair(
@@ -393,7 +380,7 @@ def bichromatic_diametral_pair(
     """
     if len(points) != len(colors):
         raise ValueError("points and colors differ in length")
-    pair = _farthest_pair(points, colors)[0]
+    pair = _farthest_pair(as_points(points), colors)[0]
     if pair is None:
         raise ValueError("no bichromatic pair")
     return pair

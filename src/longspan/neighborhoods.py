@@ -50,7 +50,8 @@ class NeighborhoodSet:
     """A collection of uniquely colored neighborhoods, flattened to a vertex
     array with parallel color and owner arrays: owner[v] is the position of
     vertex v's neighborhood, whose vertices occupy the contiguous index
-    range ranges[owner[v]]."""
+    range ranges[owner[v]].  floats is whether every coordinate is a
+    Python float; math.dist then builds the rows (see geometry._dist_row)."""
 
     def __init__(self, neighborhoods: Sequence[Neighborhood]):
         if len(neighborhoods) < 2:
@@ -72,7 +73,8 @@ class NeighborhoodSet:
             self.ranges.append(range(start, len(self.points)))
         # Neighborhood converts each ring alone; across rings, as_points
         # makes every float a Fraction when an int or Fraction needs it
-        if set(map(type, chain.from_iterable(self.points))) != {float}:
+        self.floats = set(map(type, chain.from_iterable(self.points))) == {float}
+        if not self.floats:
             self.points = as_points(self.points)
 
     @property
@@ -175,22 +177,18 @@ def stnb_label(da: float, db: float, params: StnbParams) -> StnbRegionLabel:
 
 
 def _rows(
-    nbs: NeighborhoodSet, floats: bool | None = None, built: dict[int, list[float]] | None = None
+    nbs: NeighborhoodSet, built: dict[int, list[float]] | None = None
 ) -> Callable[[int], tuple[list[float], list[float]]]:
     # row(v): the distances |u v|, as by dist, from vertex v to every
     # vertex u of nbs, and each neighborhood's largest one, built once per
-    # v: the neighborhood layer's one row source.  floats is whether every
-    # coordinate is a Python float (math.dist then builds the row, see
-    # geometry._dist_row), read off nbs.points when None; built holds rows
-    # already made, by vertex, such as the diametral scan's sweep rows.
-    if floats is None:
-        floats = set(map(type, chain.from_iterable(nbs.points))) == {float}
+    # v: the neighborhood layer's one row source.  built holds rows already
+    # made, by vertex, such as the diametral scan's sweep rows.
     built = built or {}
     spans = [slice(r.start, r.stop) for r in nbs.ranges]
 
     @cache
     def row(v: int) -> tuple[list[float], list[float]]:
-        r = built.get(v) or _dist_row(nbs.points, nbs.points[v], floats)
+        r = built.get(v) or _dist_row(nbs.points, nbs.points[v], nbs.floats)
         return r, list(map(max, map(r.__getitem__, spans)))
 
     return row
@@ -200,6 +198,8 @@ def farthest_vertex_in(nbs: NeighborhoodSet, color: int, origin: Sequence[float]
     """Flattened index of the vertex of the given neighborhood farthest from
     origin; ties break to the smallest index.  Raises ValueError when no
     neighborhood has the color."""
+    if color not in nbs.colors:
+        raise ValueError(f"no neighborhood of the {nbs.n} has color {color}")
     r = nbs.ranges[nbs.owner[nbs.colors.index(color)]]
     part = nbs.points[r.start:r.stop]
     row = _dist_row(part, origin, set(map(type, chain(*part, origin))) == {float})
@@ -237,8 +237,11 @@ def build_double_star(nbs: NeighborhoodSet, a: int, b: int) -> StnbSolution:
     (b, farthest-from-b); ties attach to a.
 
     Every non-ab edge has length at least |ab|/2 whenever (a, b) is a
-    bichromatic diametral pair.
+    bichromatic diametral pair.  Raises ValueError for an index out of range.
     """
+    for v in (a, b):
+        if not 0 <= v < len(nbs.points):
+            raise ValueError(f"vertex {v} out of range for {len(nbs.points)} vertices")
     length, reps, edges = _double_star(nbs, a, b, _rows(nbs))
     return _stnb_solution(nbs, reps, edges, "D", length)
 
@@ -263,6 +266,8 @@ def _star(nbs: NeighborhoodSet, center: int, row, candidate: str) -> StnbSolutio
 def longest_spanning_star_nb(nbs: NeighborhoodSet, center: int) -> StnbSolution:
     """Longest spanning star centered at a vertex: the center represents its
     own neighborhood and connects to the farthest vertex of every other."""
+    if not 0 <= center < len(nbs.points):
+        raise ValueError(f"center {center} out of range for {len(nbs.points)} vertices")
     return _star(nbs, center, _rows(nbs), "star")
 
 
@@ -277,20 +282,20 @@ def solve_stnb(nbs: NeighborhoodSet) -> SolveReport:
     near-linear on spread-out vertices and O(N^2) when all lie on a circle.
     The linear part needs the distance rows of a, b and the three centres,
     in C when every coordinate is a float, and sums each candidate's length
-    from them; only the winner's tree is built.  The scan hands over its
-    float test and the rows of its two sweep origins, so a call builds 6
-    rows, the scan's three included, when (a, b) is the sweep pair, as on
-    most spread-out input, and 8 when no origin of the call is a sweep
-    origin, as on a circle.  On spread-out float input the scan, with the
-    one type test, is about a third of a call and each row built afresh
-    about 10%; README's Scale section gives each phase's cost.
+    from them; only the winner's tree is built.  The set holds its float
+    test, and the scan hands over only the rows of its two sweep origins,
+    so a call builds 6 rows, the scan's three included, when (a, b) is the
+    sweep pair, as on most spread-out input, and 8 when no origin of the
+    call is a sweep origin, as on a circle.  On spread-out float input the
+    scan, with its type test, is about a third of a call and each row
+    built afresh about 10%; README's Scale section gives each phase's cost.
     Raises ValueError when (n - 1) * |ab| overflows a double.
     """
-    (a, b), floats, sweeps = _farthest_pair(nbs.points, nbs.colors)  # a set has two colors
+    (a, b), sweeps = _farthest_pair(nbs.points, nbs.colors)  # a set has two colors
     ab = dist(nbs.points[a], nbs.points[b])
     _check_length_bound(nbs.n - 1, ab)
 
-    row = _rows(nbs, floats, sweeps)
+    row = _rows(nbs, sweeps)
     (row_a, top_a), (row_b, top_b) = row(a), row(b)
     ka, kb = nbs.owner[a], nbs.owner[b]
     ra, rb = nbs.ranges[ka], nbs.ranges[kb]
@@ -347,12 +352,12 @@ def stnb_region_report(nbs: NeighborhoodSet) -> StnbRegionReport:
     """Classify every flattened vertex against the lenses L, L1, L2, L' and
     the ellipse E of the bichromatic diametral pair (a, b), from its
     distances to a and b divided by |ab|."""
-    (a, b), floats, sweeps = _farthest_pair(nbs.points, nbs.colors)
+    (a, b), sweeps = _farthest_pair(nbs.points, nbs.colors)
     ab = dist(nbs.points[a], nbs.points[b])
     if ab == 0.0:
         raise ValueError("coincident pair")
     params = stnb_params()
-    row = _rows(nbs, floats, sweeps)
+    row = _rows(nbs, sweeps)
     unit = [(da / ab, db / ab) for da, db in zip(row(a)[0], row(b)[0])]
     labels = tuple(stnb_label(da, db, params) for da, db in unit)
     m = sum(

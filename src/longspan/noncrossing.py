@@ -211,6 +211,9 @@ def _anchored_tree(
     farthest visible wedge endpoint, falling back to the nearest visible
     tree vertex; an unattachable point aborts the construction.
     """
+    for k in (root, far):
+        if not 0 <= k < len(points):
+            raise ValueError(f"guess index {k} out of range for {len(points)} points")
     if root == far:
         raise ValueError("guess endpoints must differ")
     try:

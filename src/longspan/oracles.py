@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .geometry import (
-    _bounding_box, _check_length_bound, _first_crossing, _segment, as_points, bichromatic_diametral_pair,
-    dist,
+    _check_length_bound, _first_crossing, _segment, as_points, bichromatic_diametral_pair,
+    diametral_pair, dist,
 )
 from .neighborhoods import NeighborhoodSet, StnbSolution, _stnb_solution
 from .report import SolveReport
@@ -41,7 +41,8 @@ def exact_ncst(
     if n > max_n:
         raise ValueError("instance too large for oracle")
     pts = as_points(points)
-    _bounding_box([p.x for p in pts], [p.y for p in pts])
+    i, j = diametral_pair(pts)
+    _check_length_bound(n - 1, dist(pts[i], pts[j]))
 
     edges = []
     for i in range(n):
@@ -50,8 +51,6 @@ def exact_ncst(
             if d > 0.0:
                 edges.append((d, i, j))
     edges.sort(key=lambda e: (-e[0], e[1], e[2]))
-    if edges:
-        _check_length_bound(n - 1, edges[0][0])
     m = len(edges)
     lengths = [e[0] for e in edges]
     prefix = [0.0]

@@ -5,7 +5,11 @@ import sys
 import pytest
 
 from longspan.cli import main
-from longspan.instances import read_tree
+from longspan.geometry import Point
+from longspan.instances import read_tree, write_neighborhoods, write_tree
+from longspan.neighborhoods import Neighborhood, NeighborhoodSet
+from longspan.report import SolveReport
+from longspan.trees import Tree, tree_length
 
 
 def run(*argv) -> int:
@@ -152,6 +156,19 @@ def test_check_rejects_wrong_representatives(tmp_path, capsys):
     rc = run("check", "--tree", str(tree), "--nbs", str(nbs))
     assert rc == 2
     assert "representative" in capsys.readouterr().out
+
+    # every tree point is some vertex, but colors 1..n-1 cannot all be
+    # matched: a backtracking matcher takes factorial time to find that
+    n = 30
+    rings = [((0, 0), (5, 5))] + [((0, 0), (k, 1)) for k in range(2, n)] + [((9, n),)]
+    crafted = NeighborhoodSet([Neighborhood(k + 1, (ring,)) for k, ring in enumerate(rings)])
+    write_neighborhoods(nbs, crafted)
+    points = tuple(Point(0.0, 0.0) for _ in range(n - 1)) + (Point(5.0, 5.0),)
+    star = Tree(n, tuple((k, n - 1) for k in range(n - 1)))
+    write_tree(tree, SolveReport("stnb", "star", points, star, tree_length(star, points)))
+    rc = run("check", "--tree", str(tree), "--nbs", str(nbs))
+    assert rc == 2
+    assert "not one representative per color" in capsys.readouterr().out
 
 
 def test_bench_paper_constants(tmp_path):

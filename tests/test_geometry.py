@@ -594,6 +594,13 @@ def test_farthest_pair_scans_take_exact_coordinates_beyond_doubles():
     tiny = [(1 + Fraction(k, 10**20), 0) for k in range(5)]
     assert diametral_pair(tiny) == (0, 4)
     assert bichromatic_diametral_pair(tiny, [0, 0, 1, 1, 0]) == (0, 3)
+    # a float beside ints that no double holds: both scans take the exact
+    # differences as_points gives, so each equals its all-Fraction twin
+    mixed = [(2.0**60, 0.0), (2**60 + 129, 1), (2**60 + 200, 0)]
+    twin = [(Fraction(x), Fraction(y)) for x, y in mixed]
+    assert diametral_pair(mixed) == diametral_pair(twin) == (0, 2)
+    colors = [1, 2, 3]
+    assert bichromatic_diametral_pair(mixed, colors) == bichromatic_diametral_pair(twin, colors) == (0, 2)
 
 
 def test_bichromatic_diametral_pair_examples():

@@ -17,6 +17,7 @@ from longspan.neighborhoods import (
     stnb_params,
     stnb_region_report,
 )
+from longspan.noncrossing import build_Ta
 from longspan.oracles import exact_stnb
 from longspan.trees import validate_spanning_tree
 
@@ -112,7 +113,7 @@ def test_farthest_vertex_in():
     pair = Neighborhood(3, (((0, 1), (0, -1)),))
     nbs = NeighborhoodSet([pair, other])
     assert farthest_vertex_in(nbs, 3, (0, 0)) == 0
-    with pytest.raises(ValueError, match="^7 is not in list$"):
+    with pytest.raises(ValueError, match="^no neighborhood of the 2 has color 7$"):
         farthest_vertex_in(nbs, 7, (0, 0))
 
 
@@ -310,7 +311,7 @@ def test_solve_stnb_builds_each_distance_row_once(monkeypatch):
         return dist_row(points, origin, floats)
 
     for nbs, rows, shared in ((spread, 6, {0, 1}), (circle, 8, set())):
-        pair, _, sweeps = geometry._farthest_pair(nbs.points, nbs.colors)
+        pair, sweeps = geometry._farthest_pair(nbs.points, nbs.colors)
         assert {k for k in (0, 1) if pair[k] in sweeps} == shared
         with monkeypatch.context() as m:
             for module in (geometry, neighborhoods):
@@ -454,3 +455,19 @@ def test_q_empty_implies_core_edges_below_cap():
     worst = max(dist(c, r) for c in core for r in region)
     assert worst <= 0.95
     assert worst <= 0.9464013270375472 + 1e-9  # the exact cap |lf|
+
+
+def test_public_builders_reject_out_of_range_indices():
+    # as trees.star does: a ValueError naming the index and the count, not
+    # a tree holding -1 or a bare IndexError (test_farthest_vertex_in
+    # covers a color no neighborhood has)
+    nbs = generate(GenSpec("random_neighborhoods", 4, 3, vertices_per_nb=3))
+    total = len(nbs.points)
+    for bad in (-1, total):
+        with pytest.raises(ValueError, match=f"center {bad} out of range for {total} vertices"):
+            longest_spanning_star_nb(nbs, bad)
+        for a, b in ((bad, 0), (0, bad)):
+            with pytest.raises(ValueError, match=f"vertex {bad} out of range for {total} vertices"):
+                build_double_star(nbs, a, b)
+            with pytest.raises(ValueError, match=f"guess index {bad} out of range for {total} points"):
+                build_Ta(nbs.points, a, b)
