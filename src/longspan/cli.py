@@ -196,23 +196,32 @@ def _cmd_oracle(args) -> int:
 
 def _match_representatives(report: SolveReport, nbs: NeighborhoodSet) -> bool:
     # each tree point must be a vertex of a distinct neighborhood: a perfect
-    # point -> color matching, grown by augmenting paths (Kuhn's algorithm)
+    # point -> color matching, grown by augmenting paths (Kuhn's algorithm),
+    # each found breadth-first, so that a long one needs no deep recursion
     colors_at: dict[tuple, set[int]] = {}
     for p, color in zip(nbs.points, nbs.colors):
         colors_at.setdefault(tuple(p), set()).add(color)
     options = [colors_at.get(tuple(p), ()) for p in report.points]
-    match: dict[int, int] = {}  # color -> the tree point it represents
-
-    def augment(k: int, seen: set[int]) -> bool:
-        for color in options[k]:
-            if color not in seen:
-                seen.add(color)
-                if color not in match or augment(match[color], seen):
-                    match[color] = k
-                    return True
+    if len(options) != nbs.n:
         return False
-
-    return len(options) == nbs.n and all(augment(k, set()) for k in range(nbs.n))
+    match: dict[int, int] = {}  # color -> the tree point it represents
+    mate: list[int | None] = [None] * nbs.n  # tree point -> its color
+    for start in range(nbs.n):
+        via: dict[int, int] = {}  # color -> the tree point the search reached it from
+        queue = [start]
+        for k in queue:
+            for color in options[k]:
+                if color not in via:
+                    via[color] = k
+                    if color in match:
+                        queue.append(match[color])
+        color = next((c for c in via if c not in match), None)
+        if color is None:
+            return False
+        while color is not None:  # flip the path back to start
+            k = via[color]
+            match[color], mate[k], color = k, color, mate[k]
+    return True
 
 
 def _cmd_check(args) -> int:

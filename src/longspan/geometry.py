@@ -117,8 +117,6 @@ def orientation(p: Sequence[float], q: Sequence[float], r: Sequence[float]) -> i
 
     - a floating-point filter decides when the determinant is clear of its
       rounding error and its products are clear of the underflow range;
-    - a triple with two equal points (by value), or with a zero coordinate
-      difference in each product, is COLLINEAR without further arithmetic;
     - everything else is decided in exact integer arithmetic.
 
     Coordinates must be finite; the public solvers reject NaN and infinities
@@ -140,13 +138,6 @@ def orientation(p: Sequence[float], q: Sequence[float], r: Sequence[float]) -> i
             return LEFT if det > 0.0 else RIGHT
     except OverflowError:  # an int or Fraction detsum beyond the double range
         pass
-    # A difference of finite doubles is zero only when the coordinates are
-    # equal, so these two tests are exact.  The first covers p == q and
-    # p == r; the second q == r, whose float det is 0 with detsum > 0.
-    if (qx == 0.0 or ry == 0.0) and (qy == 0.0 or rx == 0.0):
-        return COLLINEAR
-    if q[0] == r[0] and q[1] == r[1]:
-        return COLLINEAR
     px, py, qx, qy, rx, ry = _common_integers((p[0], p[1], q[0], q[1], r[0], r[1]))
     exact = (qx - px) * (ry - py) - (qy - py) * (rx - px)
     if exact > 0:

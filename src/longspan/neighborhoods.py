@@ -197,10 +197,14 @@ def _rows(
 def farthest_vertex_in(nbs: NeighborhoodSet, color: int, origin: Sequence[float]) -> int:
     """Flattened index of the vertex of the given neighborhood farthest from
     origin; ties break to the smallest index.  Raises ValueError when no
-    neighborhood has the color."""
+    neighborhood has the color or origin has a NaN or infinite coordinate."""
     if color not in nbs.colors:
         raise ValueError(f"no neighborhood of the {nbs.n} has color {color}")
     r = nbs.ranges[nbs.owner[nbs.colors.index(color)]]
+    try:
+        (origin,) = as_points([origin])
+    except ValueError as err:  # as_points calls the origin point 0
+        raise ValueError(str(err).replace("point 0", "origin", 1)) from None
     part = nbs.points[r.start:r.stop]
     row = _dist_row(part, origin, set(map(type, chain(*part, origin))) == {float})
     return r.start + row.index(max(row))

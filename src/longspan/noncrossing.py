@@ -153,6 +153,9 @@ def classify_points(points: Sequence[Sequence[float]], a: int, b: int) -> Region
     of radius 1 around a and b.  Strip membership projects onto the ab
     direction; points exactly on a strip line count as middle.
     """
+    for k in (a, b):
+        if not 0 <= k < len(points):
+            raise ValueError(f"guess index {k} out of range for {len(points)} points")
     ab, _, _, strips = _strip_split(points, a, b)
     params = ncst_params(ab)
     pa, pb = points[a], points[b]

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .geometry import (
-    _check_length_bound, _first_crossing, _segment, as_points, bichromatic_diametral_pair,
-    diametral_pair, dist,
+    _check_length_bound, _dist_row, _first_crossing, _segment, as_points,
+    bichromatic_diametral_pair, diametral_pair, dist,
 )
 from .neighborhoods import NeighborhoodSet, StnbSolution, _stnb_solution
 from .report import SolveReport
@@ -52,10 +52,7 @@ def exact_ncst(
                 edges.append((d, i, j))
     edges.sort(key=lambda e: (-e[0], e[1], e[2]))
     m = len(edges)
-    lengths = [e[0] for e in edges]
-    prefix = [0.0]
-    for d in lengths:
-        prefix.append(prefix[-1] + d)
+    prefix = list(itertools.accumulate((e[0] for e in edges), initial=0.0))
 
     segs = [_segment(pts[i], pts[j]) for _, i, j in edges]
     cross_mask = [0] * m
@@ -78,10 +75,9 @@ def exact_ncst(
         return v
 
     chosen: list[int] = []
-    chosen_mask = 0
 
-    def dfs(k: int, length: float) -> None:
-        nonlocal best_len, best_edges, chosen_mask
+    def dfs(k: int, length: float, chosen_mask: int) -> None:
+        nonlocal best_len, best_edges
         if len(chosen) == target:
             tree_edges = tuple(sorted((edges[x][1], edges[x][2]) for x in chosen))
             if length > best_len or (length == best_len and tree_edges < best_edges):
@@ -97,14 +93,12 @@ def exact_ncst(
         if ri != rj and not (cross_mask[k] & chosen_mask):
             parent[ri] = rj
             chosen.append(k)
-            chosen_mask |= 1 << k
-            dfs(k + 1, length + d)
-            chosen_mask &= ~(1 << k)
+            dfs(k + 1, length + d, chosen_mask | (1 << k))
             chosen.pop()
             parent[ri] = ri
-        dfs(k + 1, length)
+        dfs(k + 1, length, chosen_mask)
 
-    dfs(0, 0.0)
+    dfs(0, 0.0, 0)
     if best_edges is None:
         raise ValueError("no noncrossing spanning tree found")
     return Tree(n, best_edges)
@@ -128,7 +122,7 @@ def exact_stnb(nbs: NeighborhoodSet, max_assignments: int = 10**6) -> StnbSoluti
     npts = nbs.points
     a, b = bichromatic_diametral_pair(npts, nbs.colors)
     _check_length_bound(nbs.n - 1, dist(npts[a], npts[b]))
-    dmat = [[dist(p, q) for q in npts] for p in npts]
+    dmat = [_dist_row(npts, p, nbs.floats) for p in npts]
     best_len = -1.0
     best_assign: tuple[int, ...] | None = None
     for assign in itertools.product(*nbs.ranges):
@@ -161,17 +155,12 @@ def oracle_ratio(
     ValueError when the solution does not fit the instance or a point has a
     NaN or infinite coordinate.
     """
-    if isinstance(instance, NeighborhoodSet):
-        if approx.tree.n != instance.n:
-            raise ValueError("solution does not match instance")
-        if oracle_length is None:
-            oracle_length = exact_stnb(instance).length
-    else:
-        if approx.tree.n != len(instance):
-            raise ValueError("solution does not match instance")
-        pts = as_points(instance)
-        if oracle_length is None:
-            oracle_length = tree_length(exact_ncst(pts), pts)
+    nb = isinstance(instance, NeighborhoodSet)
+    if approx.tree.n != (instance.n if nb else len(instance)):
+        raise ValueError("solution does not match instance")
+    pts = None if nb else as_points(instance)  # checked even when oracle_length is given
+    if oracle_length is None:
+        oracle_length = exact_stnb(instance).length if nb else tree_length(exact_ncst(pts), pts)
     return RatioRecord(
         approx_length=approx.length,
         oracle_length=oracle_length,

@@ -171,6 +171,23 @@ def test_check_rejects_wrong_representatives(tmp_path, capsys):
     assert "not one representative per color" in capsys.readouterr().out
 
 
+def test_check_matches_representatives_along_a_long_augmenting_path(tmp_path, capsys):
+    # color 1 is {P0, P1499}, color c is {P(c-2), P(c-1)} and color 1500 is
+    # {P1498}: matching the tree points P0..P1499 in order ends with one
+    # augmenting path through every color, which a recursive search cannot take
+    n = 1500
+    pts = [Point(float(k), float(k * k % 7)) for k in range(n)]
+    rings = [(pts[0], pts[n - 1])] + [(pts[c - 2], pts[c - 1]) for c in range(2, n)]
+    rings.append((pts[n - 2],))
+    nbs, tree = tmp_path / "n.nbs", tmp_path / "t.json"
+    chain = NeighborhoodSet([Neighborhood(k + 1, (ring,)) for k, ring in enumerate(rings)])
+    write_neighborhoods(nbs, chain)
+    path = Tree(n, tuple((k, k + 1) for k in range(n - 1)))
+    write_tree(tree, SolveReport("stnb", "path", tuple(pts), path, tree_length(path, pts)))
+    assert run("check", "--tree", str(tree), "--nbs", str(nbs)) == 0
+    assert capsys.readouterr().out.strip() == "ok"
+
+
 def test_bench_paper_constants(tmp_path):
     out = tmp_path / "bench.json"
     assert run("bench", "--suite", "paper-constants", "--seed", "0",

@@ -17,7 +17,7 @@ from longspan.neighborhoods import (
     stnb_params,
     stnb_region_report,
 )
-from longspan.noncrossing import build_Ta
+from longspan.noncrossing import build_Ta, classify_points
 from longspan.oracles import exact_stnb
 from longspan.trees import validate_spanning_tree
 
@@ -115,6 +115,16 @@ def test_farthest_vertex_in():
     assert farthest_vertex_in(nbs, 3, (0, 0)) == 0
     with pytest.raises(ValueError, match="^no neighborhood of the 2 has color 7$"):
         farthest_vertex_in(nbs, 7, (0, 0))
+    # the origin goes through as_points, so a NaN or infinite one is an
+    # error naming it, and a numpy float64 one takes the all-float rows
+    for bad in ((math.nan, 0.0), (0.0, math.inf)):
+        with pytest.raises(ValueError, match="^origin has a non-finite coordinate"):
+            farthest_vertex_in(nbs, 3, bad)
+    with pytest.raises(ValueError, match="^origin has a coordinate beyond the double range"):
+        farthest_vertex_in(nbs, 3, (10**400, 0))
+    np = pytest.importorskip("numpy")
+    origin = (np.float64(0.3), np.float64(0.7))
+    assert farthest_vertex_in(nbs, 3, origin) == farthest_vertex_in(nbs, 3, (0.3, 0.7)) == 1
 
 
 def test_build_double_star_hand_checked_tie():
@@ -471,3 +481,5 @@ def test_public_builders_reject_out_of_range_indices():
                 build_double_star(nbs, a, b)
             with pytest.raises(ValueError, match=f"guess index {bad} out of range for {total} points"):
                 build_Ta(nbs.points, a, b)
+            with pytest.raises(ValueError, match=f"guess index {bad} out of range for {total} points"):
+                classify_points(nbs.points, a, b)

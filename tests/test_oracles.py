@@ -58,11 +58,21 @@ def test_exact_ncst_rejects_non_finite_points(bad):
         exact_ncst(pts)
 
 
-def test_exact_ncst_matches_unpruned_enumeration():
+def _exact_ncst_inputs():
     rng = random.Random(41)
     for _ in range(12):
         n = rng.randrange(3, 7)
-        pts = [(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(n)]
+        yield [(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(n)]
+    # on one circle every long edge crosses others, so the crossing masks
+    # decide the search
+    rng = random.Random(44)
+    for n in (5, 5, 5, 6, 6, 6):
+        angles = sorted(rng.uniform(0, 2 * math.pi) for _ in range(n))
+        yield [(math.cos(t), math.sin(t)) for t in rng.sample(angles, n)]
+
+
+def test_exact_ncst_matches_unpruned_enumeration():
+    for pts in _exact_ncst_inputs():
         fast = exact_ncst(pts, prune=True)
         slow = exact_ncst(pts, prune=False)
         assert fast.edges == slow.edges
