@@ -34,7 +34,7 @@ print(f"best star:     {tree_length(st, pts):.4f}  center {center}")
 print(f"star / Max-ST ratio: {tree_length(st, pts) / tree_length(mxt, pts):.4f} (always >= 0.5)")
 
 for name, tree in [("min_st", mst), ("max_st", mxt), ("best_star", st)]:
-    with open(os.path.join(OUT, f"02_{name}.svg"), "w") as fh:
+    with open(os.path.join(OUT, f"02_{name}.svg"), "w", encoding="utf-8") as fh:
         fh.write(render_svg(pts, tree.edges))
 print(f"wrote {OUT}/02_min_st.svg, 02_max_st.svg, 02_best_star.svg")
 

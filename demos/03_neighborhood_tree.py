@@ -38,7 +38,7 @@ region = stnb_region_report(nbs)
 print(f"  region report: m={region.m} neighborhoods inside the core lens, "
       f"Q {'non-empty' if region.q_nonempty else 'empty'}")
 
-with open(os.path.join(OUT, "03_neighborhoods.svg"), "w") as fh:
+with open(os.path.join(OUT, "03_neighborhoods.svg"), "w", encoding="utf-8") as fh:
     fh.write(render_svg(rep.points, rep.tree.edges, nbs=nbs))
 print(f"wrote {OUT}/03_neighborhoods.svg")
 

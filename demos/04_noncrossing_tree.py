@@ -37,9 +37,9 @@ opt = exact_ncst(pts)
 print(f"  exact optimum: {tree_length(opt, pts):.4f}, "
       f"ratio {rep.length / tree_length(opt, pts):.4f}  (guaranteed >= 0.519)")
 
-with open(os.path.join(OUT, "04_noncrossing.svg"), "w") as fh:
+with open(os.path.join(OUT, "04_noncrossing.svg"), "w", encoding="utf-8") as fh:
     fh.write(render_svg(pts, rep.tree.edges))
-with open(os.path.join(OUT, "04_optimum.svg"), "w") as fh:
+with open(os.path.join(OUT, "04_optimum.svg"), "w", encoding="utf-8") as fh:
     fh.write(render_svg(pts, opt.edges))
 print(f"wrote {OUT}/04_noncrossing.svg and 04_optimum.svg")
 

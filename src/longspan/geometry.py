@@ -51,27 +51,12 @@ def as_points(points: Iterable[Sequence[float]]) -> list[Point]:
     infinite coordinate, or an int beyond the double range: the predicates
     are exact only on finite doubles.
     """
-    pts = [p if isinstance(p, Point) else Point(_scalar(p[0]), _scalar(p[1])) for p in points]
-    if _check_finite(pts):
-        pts = [Point(*(Fraction(c) if isinstance(c, float) else c for c in p)) for p in pts]
-    return pts
-
-
-def _scalar(c: float) -> float:
-    if isinstance(c, Integral):
-        return operator.index(c)
-    if isinstance(c, Real) and not isinstance(c, Rational) and float(c) == c:
-        return float(c)
-    return c
-
-
-def _check_finite(points: Iterable[Sequence[float]]) -> bool:
-    # Raises ValueError for the first point with a NaN or infinite
-    # coordinate or an int beyond the double range.  Returns whether a
-    # float meets an int or Fraction that no double holds.
+    pts = []
     floats = inexact = False
     try:
-        for k, (x, y) in enumerate(points):
+        for k, p in enumerate(points):
+            pts.append(p if isinstance(p, Point) else Point(_scalar(p[0]), _scalar(p[1])))
+            x, y = pts[-1]
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValueError(f"point {k} has a non-finite coordinate ({x!r}, {y!r})")
             if type(x) is float and type(y) is float:
@@ -84,7 +69,17 @@ def _check_finite(points: Iterable[Sequence[float]]) -> bool:
                     inexact = True
     except OverflowError:  # an int beyond the double range
         raise ValueError(f"point {k} has a coordinate beyond the double range") from None
-    return floats and inexact
+    if floats and inexact:
+        pts = [Point(*(Fraction(c) if isinstance(c, float) else c for c in p)) for p in pts]
+    return pts
+
+
+def _scalar(c: float) -> float:
+    if isinstance(c, Integral):
+        return operator.index(c)
+    if isinstance(c, Real) and not isinstance(c, Rational) and float(c) == c:
+        return float(c)
+    return c
 
 
 def dist(p: Sequence[float], q: Sequence[float]) -> float:
@@ -169,10 +164,12 @@ def segments_cross(s1: Sequence, s2: Sequence) -> bool:
     overlap of positive length does.  Symmetric in its arguments and in each
     segment's endpoint order.  The one-pair case of the filtered kernel that
     validates trees, so every crossing decision of the library is this one.
+    Its endpoints go through as_points together, so numpy or mixed input is exact.
 
-    Raises ValueError for zero-length segments.
+    Raises ValueError for zero-length segments and non-finite coordinates.
     """
-    s, t = _segment(*s1), _segment(*s2)
+    a, b, c, d = as_points((*s1, *s2))
+    s, t = _segment(a, b), _segment(c, d)
     if s[0] == s[1] or t[0] == t[1]:
         raise ValueError("degenerate segment")
     return _first_crossing(s, (t,)) == 0
@@ -286,22 +283,22 @@ def _check_length_bound(edges: int, longest: float) -> None:
 
 def _farthest_pair(
     points: Sequence[Sequence[float]], colors: Sequence[int]
-) -> tuple[tuple[int, int] | None, dict[int, list[float]]]:
+) -> tuple[tuple[int, int] | None, float, dict[int, list[float]]]:
     # The first pair in index order, of two colors, with the largest dist,
-    # or None when there is none; and the unmasked distance row of each
-    # origin of the two farthest-point sweeps, by index, so that a caller
-    # needing those rows does not build them again.  The points are
-    # as_points output or a NeighborhoodSet's, so their coordinates are
-    # finite Python scalars with exact differences.  Only points that can
-    # end such a pair enter the quadratic scan.  For r_k = |p_k g| and
-    # R = max r_k, the triangle inequality gives |p_i p_j| <= r_i + R, so a
-    # pair whose dist reaches the dist L of some pair of two colors has
-    # r_i + R >= L and r_j + R >= L, up to rounding.  A coordinate
-    # difference, in dist or against g, is off by at most 2^-51 times the
-    # largest magnitude M of a coordinate on its axis: ints and Fractions
-    # are rounded to doubles before they meet the float g, and the
-    # subtraction rounds.  Hypot and the sum add relative errors of a few
-    # 2^-53 and, for subnormal results, 2^-1074 per hypot.  The slack,
+    # or None when there is none; that dist, or -1.0 without a pair; and
+    # the unmasked distance row of each origin of the two farthest-point
+    # sweeps, by index, so that a caller needing those rows does not build
+    # them again.  The points are as_points output or a NeighborhoodSet's,
+    # so their coordinates are finite Python scalars with exact differences.
+    # Only points that can end such a pair enter the quadratic scan.  For
+    # r_k = |p_k g| and R = max r_k, the triangle inequality gives
+    # |p_i p_j| <= r_i + R, so a pair whose dist reaches the dist L of some
+    # pair of two colors has r_i + R >= L and r_j + R >= L, up to rounding.
+    # A coordinate difference, in dist or against g, is off by at most
+    # 2^-51 times the largest magnitude M of a coordinate on its axis: ints
+    # and Fractions are rounded to doubles before they meet the float g, and
+    # the subtraction rounds.  Hypot and the sum add relative errors of a
+    # few 2^-53 and, for subnormal results, 2^-1074 per hypot.  The slack,
     # 2^-40 relative, 2^-45 (Mx + My) and 2^-1060 absolute, covers that
     # many times over.  A dist that overflows needs r_i + R near the
     # largest double, hence the cap on L; an r that overflows makes every
@@ -311,7 +308,7 @@ def _farthest_pair(
     floats = set(map(type, xs + ys)) <= {float}  # the rows are then math.dist's, see _dist_row
     sweeps: dict[int, list[float]] = {}
     if not xs:
-        return None, sweeps
+        return None, -1.0, sweeps
     x0, x1, y0, y1 = (0.5 * v for v in _bounding_box(xs, ys))
     gx, gy = x0 + x1, y0 + y1
     mxy = max(abs(x0), abs(x1)) + max(abs(y0), abs(y1))  # (Mx + My) / 2
@@ -327,7 +324,7 @@ def _farthest_pair(
             row = [d if ck != c else -1.0 for d, ck in zip(row, colors)]
             far = max(row)
             if far < 0.0:
-                return None, sweeps
+                return None, -1.0, sweeps
             last = len(row) - 1 - row[::-1].index(far)
         t = last
     cut = min(far, sys.float_info.max) * (1.0 - 2.0**-40) - 2.0**-44 * mxy - 2.0**-1060
@@ -343,7 +340,7 @@ def _farthest_pair(
                 if dij > best:
                     best = dij
                     pair = (i, j)
-    return pair, sweeps
+    return pair, best, sweeps
 
 
 def diametral_pair(points: Sequence[Sequence[float]]) -> tuple[int, int]:

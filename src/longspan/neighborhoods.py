@@ -12,9 +12,7 @@ from itertools import chain
 from operator import add, ge, itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .geometry import (
-    Point, _check_length_bound, _dist_row, _farthest_pair, as_points, dist,
-)
+from .geometry import Point, _check_length_bound, _dist_row, _farthest_pair, as_points
 from .report import SolveReport
 from .trees import Tree, tree_length
 
@@ -228,7 +226,7 @@ def _double_star(
     # every position but kb joins a hub: ka joins kb, the others a or b
     hubs = [ka if t else kb for t in to_a]
     lengths = [ta if t else tb for ta, tb, t in zip(top_a, top_b, to_a)]
-    hubs[ka], lengths[ka] = kb, dist(nbs.points[a], nbs.points[b])
+    hubs[ka], lengths[ka] = kb, row_a[b]
     edges = sorted(
         [(k, h, d) if k < h else (h, k, d) for k, h, d in zip(range(nbs.n), hubs, lengths) if k != kb]
     )
@@ -295,8 +293,7 @@ def solve_stnb(nbs: NeighborhoodSet) -> SolveReport:
     built afresh about 10%; README's Scale section gives each phase's cost.
     Raises ValueError when (n - 1) * |ab| overflows a double.
     """
-    (a, b), sweeps = _farthest_pair(nbs.points, nbs.colors)  # a set has two colors
-    ab = dist(nbs.points[a], nbs.points[b])
+    (a, b), ab, sweeps = _farthest_pair(nbs.points, nbs.colors)  # a set has two colors
     _check_length_bound(nbs.n - 1, ab)
 
     row = _rows(nbs, sweeps)
@@ -356,8 +353,7 @@ def stnb_region_report(nbs: NeighborhoodSet) -> StnbRegionReport:
     """Classify every flattened vertex against the lenses L, L1, L2, L' and
     the ellipse E of the bichromatic diametral pair (a, b), from its
     distances to a and b divided by |ab|."""
-    (a, b), sweeps = _farthest_pair(nbs.points, nbs.colors)
-    ab = dist(nbs.points[a], nbs.points[b])
+    (a, b), ab, sweeps = _farthest_pair(nbs.points, nbs.colors)
     if ab == 0.0:
         raise ValueError("coincident pair")
     params = stnb_params()

@@ -19,7 +19,7 @@ from itertools import chain
 from typing import NamedTuple, Sequence
 
 from .geometry import (
-    _check_length_bound, _first_crossing, _segment, as_points, diametral_pair, dist, orientation,
+    _check_length_bound, _farthest_pair, _first_crossing, _segment, as_points, dist, orientation,
 )
 from .report import SolveReport
 from .trees import Tree, is_noncrossing, star, tree_length
@@ -309,8 +309,7 @@ def solve_ncst(points: Sequence[Sequence[float]], prune: bool = True) -> SolveRe
     if n < 2:
         raise ValueError("need at least two points")
     pts = as_points(points)
-    iu, iv = diametral_pair(pts)
-    diam = dist(pts[iu], pts[iv])
+    (iu, iv), diam, _ = _farthest_pair(pts, range(n))
     if diam == 0.0:
         raise ValueError("all points coincide")
     _check_length_bound(n - 1, diam)

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .geometry import (
-    _check_length_bound, _dist_row, _first_crossing, _segment, as_points,
-    bichromatic_diametral_pair, diametral_pair, dist,
+    _check_length_bound, _dist_row, _farthest_pair, _first_crossing, _segment, as_points, dist,
 )
 from .neighborhoods import NeighborhoodSet, StnbSolution, _stnb_solution
 from .report import SolveReport
@@ -41,8 +40,7 @@ def exact_ncst(
     if n > max_n:
         raise ValueError("instance too large for oracle")
     pts = as_points(points)
-    i, j = diametral_pair(pts)
-    _check_length_bound(n - 1, dist(pts[i], pts[j]))
+    _check_length_bound(n - 1, _farthest_pair(pts, range(n))[1])
 
     edges = []
     for i in range(n):
@@ -119,10 +117,8 @@ def exact_stnb(nbs: NeighborhoodSet, max_assignments: int = 10**6) -> StnbSoluti
         if space > max_assignments:
             raise ValueError("instance too large for oracle")
 
-    npts = nbs.points
-    a, b = bichromatic_diametral_pair(npts, nbs.colors)
-    _check_length_bound(nbs.n - 1, dist(npts[a], npts[b]))
-    dmat = [_dist_row(npts, p, nbs.floats) for p in npts]
+    _check_length_bound(nbs.n - 1, _farthest_pair(nbs.points, nbs.colors)[1])
+    dmat = [_dist_row(nbs.points, p, nbs.floats) for p in nbs.points]
     best_len = -1.0
     best_assign: tuple[int, ...] | None = None
     for assign in itertools.product(*nbs.ranges):

@@ -6,11 +6,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from operator import neg
 from typing import Callable, Sequence
 
-from .geometry import Point, _first_crossing, _segment, as_points, dist
+from .geometry import Point, _dist_row, _first_crossing, _segment, as_points, dist
 
 
 @dataclass(frozen=True, slots=True)
@@ -30,7 +29,8 @@ class Tree:
 
 
 def tree_length(tree: Tree, points: Sequence[Sequence[float]]) -> float:
-    """Total Euclidean length of the tree's edges."""
+    """Total Euclidean length of the tree's edges.  The points are taken as
+    given: raw numpy int64 or mixed input needs as_points first, as for orientation."""
     n = len(points)
     total = 0.0
     for i, j in tree.edges:
@@ -86,7 +86,8 @@ def is_noncrossing(
     later ones by the crossing kernel, whose one-pair case is
     segments_cross, so the verdict and the first crossing pair are those of
     the full pairwise segments_cross scan.  A tree with two or more edges
-    and a zero-length one raises ValueError first.
+    and a zero-length one raises ValueError first.  The points are taken as
+    given, as by tree_length.
     """
     edges = tree.edges
     segs = []
@@ -148,9 +149,9 @@ def _max_tree(
         raise ValueError("empty point set")
 
     def row(i: int) -> list[float]:
-        # one row of distances per pick keeps memory O(n); negation is
-        # exact, so maximizing -dist makes the minimizing comparisons
-        d = list(map(dist, repeat(points[i]), points))
+        # one row per pick keeps memory O(n); the exact-difference row is dist's
+        # for any input, and negation is exact, so maximizing -dist minimizes
+        d = _dist_row(points, points[i], False)
         return list(map(neg, d)) if negate else d
 
     parent, _ = _prim(row, range(n), root, first)
@@ -186,7 +187,7 @@ def max_spanning_tree_through(
 
 
 def star(points: Sequence[Sequence[float]], center: int) -> Tree:
-    """Star connecting the center to every other vertex."""
+    """Star connecting the center to every other vertex; reads only len(points)."""
     n = len(points)
     if not 0 <= center < n:
         raise ValueError(f"center {center} out of range for {n} points")
@@ -194,8 +195,9 @@ def star(points: Sequence[Sequence[float]], center: int) -> Tree:
 
 
 def best_star(points: Sequence[Sequence[float]]) -> tuple[Tree, int]:
-    """The longest star over all centers; ties break to the smallest center."""
-    if not points:
+    """The longest star over all centers; ties break to the smallest center.
+    The points are taken as given, as by tree_length."""
+    if len(points) == 0:
         raise ValueError("empty point set")
     center = max(range(len(points)), key=lambda c: tree_length(star(points, c), points))
     return star(points, center), center

@@ -40,7 +40,7 @@ def test_usage_error_exits_1(capsys):
 
 def test_ncst_two_point_pipeline(tmp_path):
     pts = tmp_path / "p.pts"
-    pts.write_text("0 0\n1 1\n")
+    pts.write_text("0 0\n1 1\n", encoding="utf-8")
     tree = tmp_path / "t.json"
     assert run("ncst", "--points", str(pts), "--out", str(tree)) == 0
     rep = read_tree(tree)
@@ -67,9 +67,9 @@ def test_full_ncst_pipeline_with_oracle_and_ratio(tmp_path, capsys):
     ratio = float(line)
     assert len(line.split(".")[1]) == 6
     assert 0.519 <= ratio <= 1.0 + 1e-9
-    body = svg.read_text()
+    body = svg.read_text(encoding="utf-8")
     assert body.startswith("<svg") and "<ellipse" in body
-    metrics = json.loads(report.read_text())
+    metrics = json.loads(report.read_text(encoding="utf-8"))
     assert metrics["algorithm"] == "ncst"
     assert 0 < metrics["metrics"]["ratio_to_upper"] <= 1
 
@@ -102,9 +102,9 @@ def test_check_rejects_corrupted_tree(tmp_path, capsys):
     assert run("gen", "--kind", "uniform_square", "--n", "5", "--seed", "9",
                "--out", str(pts)) == 0
     assert run("ncst", "--points", str(pts), "--out", str(tree)) == 0
-    payload = json.loads(tree.read_text())
+    payload = json.loads(tree.read_text(encoding="utf-8"))
     payload["edges"] = payload["edges"][:-1]  # drop an edge: not spanning
-    tree.write_text(json.dumps(payload))
+    tree.write_text(json.dumps(payload), encoding="utf-8")
     rc = run("check", "--tree", str(tree), "--points", str(pts))
     assert rc == 2
     assert "not spanning" in capsys.readouterr().out
@@ -113,7 +113,7 @@ def test_check_rejects_corrupted_tree(tmp_path, capsys):
 def test_malformed_tree_file_exits_2(tmp_path, capsys):
     tree = tmp_path / "t.json"
     tree.write_text(json.dumps({"format": 1, "points": [[0, 0], [1, 0]], "edges": [[0]],
-                                "length": 1.0}))
+                                "length": 1.0}), encoding="utf-8")
     for argv in (("check", "--tree", str(tree)),
                  ("ratio", "--approx", str(tree), "--oracle", str(tree))):
         assert run(*argv) == 2
@@ -137,7 +137,7 @@ def test_neighborhood_file_with_superscript_count_exits_2(tmp_path, capsys):
 def test_tree_file_with_malformed_values_exits_2(tmp_path, capsys, field, value):
     payload = {"format": 1, "points": [[0, 0], [1, 0]], "edges": [[0, 1]], "length": 1.0}
     tree = tmp_path / "t.json"
-    tree.write_text(json.dumps(dict(payload, **{field: value})))
+    tree.write_text(json.dumps(dict(payload, **{field: value})), encoding="utf-8")
     for argv in (("check", "--tree", str(tree)),
                  ("ratio", "--approx", str(tree), "--oracle", str(tree))):
         assert run(*argv) == 2
@@ -150,9 +150,9 @@ def test_check_rejects_wrong_representatives(tmp_path, capsys):
     assert run("gen", "--kind", "random_neighborhoods", "--n", "3", "--seed", "6",
                "--out", str(nbs)) == 0
     assert run("stnb", "--nbs", str(nbs), "--out", str(tree)) == 0
-    payload = json.loads(tree.read_text())
+    payload = json.loads(tree.read_text(encoding="utf-8"))
     payload["points"][0] = [123.0, 456.0]  # not a vertex of any neighborhood
-    tree.write_text(json.dumps(payload))
+    tree.write_text(json.dumps(payload), encoding="utf-8")
     rc = run("check", "--tree", str(tree), "--nbs", str(nbs))
     assert rc == 2
     assert "representative" in capsys.readouterr().out
@@ -192,7 +192,7 @@ def test_bench_paper_constants(tmp_path):
     out = tmp_path / "bench.json"
     assert run("bench", "--suite", "paper-constants", "--seed", "0",
                "--out", str(out)) == 0
-    payload = json.loads(out.read_text())
+    payload = json.loads(out.read_text(encoding="utf-8"))
     res = payload["results"]
     assert abs(res["lf_length"] - 0.9464) < 5e-4
     assert abs(res["f1_at_d"] - 0.913117) < 1e-5
@@ -208,13 +208,13 @@ def test_bench_paper_constants(tmp_path):
 def test_bench_ratios_and_lemmas(tmp_path):
     out = tmp_path / "ratios.json"
     assert run("bench", "--suite", "ratios", "--seed", "1", "--out", str(out)) == 0
-    res = json.loads(out.read_text())["results"]
+    res = json.loads(out.read_text(encoding="utf-8"))["results"]
     assert res["ncst_worst_ratio"] >= 0.519
     assert res["stnb_worst_ratio"] >= 0.524
 
     out = tmp_path / "lemmas.json"
     assert run("bench", "--suite", "lemmas", "--seed", "1", "--out", str(out)) == 0
-    res = json.loads(out.read_text())["results"]
+    res = json.loads(out.read_text(encoding="utf-8"))["results"]
     assert res["neighborhood_524"]["worst_margin"] > 0
     assert res["noncrossing_519"]["worst_margin"] > 0
 
@@ -242,5 +242,6 @@ def test_console_entry_point(tmp_path):
          "--out", str(tmp_path / "p.pts")],
         capture_output=True,
         text=True,
+        encoding="utf-8",
     )
     assert proc.returncode == 0, proc.stderr

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from longspan import geometry
+from longspan import geometry, neighborhoods, noncrossing, oracles
 from longspan.geometry import (
     COLLINEAR,
     LEFT,
@@ -301,6 +301,26 @@ def test_segments_cross_degenerate_rejected():
         segments_cross(((0, 0), (0, 0)), ((1, 0), (2, 0)))
 
 
+def test_segments_cross_takes_raw_numpy_and_mixed_input():
+    # The endpoints go through as_points together: a float near 2^60 next
+    # to an int no double holds becomes a Fraction, and a NaN is rejected
+    # rather than read as no crossing
+    mixed = ((2.0**60 + 256, 3.0), (2.0**60 + 256, 1.0)), ((2**60 + 395, 0), (2**60 + 79, 2))
+    assert segments_cross(*mixed) is segments_cross_reference(*mixed) is False
+    with pytest.raises(ValueError, match="point 1 has a non-finite coordinate"):
+        segments_cross(((0.0, 0.0), (math.nan, 1.0)), ((0.0, 1.0), (1.0, 0.0)))
+    # numpy int64 products wrap past about 2^31.5 in the float filter
+    np = pytest.importorskip("numpy")
+    quad = np.array(
+        [[-16460100101378576, 11882780194959754], [995251922450532, 5898235917696768],
+         [-13256982043531079, 7591364616873767], [4039858344060570, -4700084434906817]],
+        dtype=np.int64,
+    )
+    s1, s2 = quad[:2], quad[2:]
+    want = segments_cross_reference(s1.tolist(), s2.tolist())
+    assert segments_cross(s1, s2) is segments_cross(s2, s1) is want
+
+
 def test_segments_cross_symmetry_properties():
     rng = random.Random(2)
     for _ in range(400):
@@ -570,6 +590,28 @@ def test_farthest_pair_scan_prunes_spread_out_input(monkeypatch):
     pair = bichromatic_diametral_pair(nbs.points, nbs.colors)
     assert pair == farthest_pair_reference(nbs.points, nbs.colors)
     assert calls < len(nbs.points) ** 2 / 20
+
+
+def test_each_entry_point_converts_its_points_once(monkeypatch):
+    # The solvers and oracles convert their input once and scan the
+    # converted points; a neighborhood set's points are converted already
+    pts = generate(GenSpec("uniform_square", 8, 3))
+    nbs = generate(GenSpec("random_neighborhoods", 4, 3, vertices_per_nb=3))
+    calls = 0
+
+    def counting_as_points(points):
+        nonlocal calls
+        calls += 1
+        return as_points(points)
+
+    for module in (geometry, noncrossing, oracles, neighborhoods):
+        monkeypatch.setattr(module, "as_points", counting_as_points)
+    counts = []
+    for solve, instance in ((solve_ncst, pts), (exact_ncst, pts), (exact_stnb, nbs), (solve_stnb, nbs)):
+        calls = 0
+        solve(instance)
+        counts.append(calls)
+    assert counts == [1, 1, 0, 0]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

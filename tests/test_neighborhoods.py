@@ -321,7 +321,7 @@ def test_solve_stnb_builds_each_distance_row_once(monkeypatch):
         return dist_row(points, origin, floats)
 
     for nbs, rows, shared in ((spread, 6, {0, 1}), (circle, 8, set())):
-        pair, sweeps = geometry._farthest_pair(nbs.points, nbs.colors)
+        pair, _, sweeps = geometry._farthest_pair(nbs.points, nbs.colors)
         assert {k for k in (0, 1) if pair[k] in sweeps} == shared
         with monkeypatch.context() as m:
             for module in (geometry, neighborhoods):

@@ -250,6 +250,14 @@ def test_best_star_examples():
     assert t.edges == ()
 
 
+def test_best_star_takes_a_numpy_array():
+    np = pytest.importorskip("numpy")
+    pts = generate(GenSpec("uniform_square", 9, 2))
+    assert best_star(np.array(pts)) == best_star(pts)
+    with pytest.raises(ValueError, match="empty point set"):
+        best_star(np.empty((0, 2)))
+
+
 def test_best_star_on_two_clusters_is_about_half():
     from longspan.instances import GenSpec, generate
 
