@@ -282,7 +282,7 @@ def _check_length_bound(edges: int, longest: float) -> None:
 
 
 def _farthest_pair(
-    points: Sequence[Sequence[float]], colors: Sequence[int]
+    points: Sequence[Sequence[float]], colors: Sequence[int], floats: bool | None = None
 ) -> tuple[tuple[int, int] | None, float, dict[int, list[float]]]:
     # The first pair in index order, of two colors, with the largest dist,
     # or None when there is none; that dist, or -1.0 without a pair; and
@@ -290,6 +290,9 @@ def _farthest_pair(
     # sweeps, by index, so that a caller needing those rows does not build
     # them again.  The points are as_points output or a NeighborhoodSet's,
     # so their coordinates are finite Python scalars with exact differences.
+    # floats is whether every coordinate is a Python float (see _dist_row):
+    # a set passes the verdict it holds, and point lists leave the scan to
+    # read it off the coordinate columns.
     # Only points that can end such a pair enter the quadratic scan.  For
     # r_k = |p_k g| and R = max r_k, the triangle inequality gives
     # |p_i p_j| <= r_i + R, so a pair whose dist reaches the dist L of some
@@ -303,12 +306,12 @@ def _farthest_pair(
     # many times over.  A dist that overflows needs r_i + R near the
     # largest double, hence the cap on L; an r that overflows makes every
     # r_k + R infinite, so all points are kept.
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    floats = set(map(type, xs + ys)) <= {float}  # the rows are then math.dist's, see _dist_row
     sweeps: dict[int, list[float]] = {}
-    if not xs:
+    if not points:
         return None, -1.0, sweeps
+    xs, ys = zip(*points)
+    if floats is None:
+        floats = set(map(type, xs + ys)) == {float}
     x0, x1, y0, y1 = (0.5 * v for v in _bounding_box(xs, ys))
     gx, gy = x0 + x1, y0 + y1
     mxy = max(abs(x0), abs(x1)) + max(abs(y0), abs(y1))  # (Mx + My) / 2

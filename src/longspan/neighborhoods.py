@@ -180,13 +180,22 @@ def _rows(
     # row(v): the distances |u v|, as by dist, from vertex v to every
     # vertex u of nbs, and each neighborhood's largest one, built once per
     # v: the neighborhood layer's one row source.  built holds rows already
-    # made, by vertex, such as the diametral scan's sweep rows.
+    # made, by vertex, such as the diametral scan's sweep rows.  When every
+    # neighborhood has k vertices, the maxima are those of the k strided
+    # slices taken position by position (the row itself when k = 1): the
+    # max of the same floats, without a slice per neighborhood.
     built = built or {}
-    spans = [slice(r.start, r.stop) for r in nbs.ranges]
+    sizes = set(map(len, nbs.ranges))
+    k = sizes.pop() if len(sizes) == 1 else 0  # 0 when the sizes differ
+    spans = [] if k else [slice(r.start, r.stop) for r in nbs.ranges]
 
     @cache
     def row(v: int) -> tuple[list[float], list[float]]:
         r = built.get(v) or _dist_row(nbs.points, nbs.points[v], nbs.floats)
+        if k == 1:
+            return r, r
+        if k:
+            return r, list(map(max, *(r[i::k] for i in range(k))))
         return r, list(map(max, map(r.__getitem__, spans)))
 
     return row
@@ -285,15 +294,17 @@ def solve_stnb(nbs: NeighborhoodSet) -> SolveReport:
     The linear part needs the distance rows of a, b and the three centres,
     in C when every coordinate is a float, and sums each candidate's length
     from them; only the winner's tree is built.  The set holds its float
-    test, and the scan hands over only the rows of its two sweep origins,
-    so a call builds 6 rows, the scan's three included, when (a, b) is the
-    sweep pair, as on most spread-out input, and 8 when no origin of the
-    call is a sweep origin, as on a circle.  On spread-out float input the
-    scan, with its type test, is about a third of a call and each row
-    built afresh about 10%; README's Scale section gives each phase's cost.
+    test and hands it to the scan, and the scan hands over only the rows
+    of its two sweep origins, so a call builds 6 rows, the scan's three
+    included, when (a, b) is the sweep pair, as on most spread-out input,
+    and 8 when no origin of the call is a sweep origin, as on a circle.
+    On spread-out float input the scan, with no type pass, is about a
+    third of a call, and each row built afresh, with its neighborhoods'
+    maxima (strided when their sizes are equal), about 10%; README's
+    Scale section gives each phase's cost.
     Raises ValueError when (n - 1) * |ab| overflows a double.
     """
-    (a, b), ab, sweeps = _farthest_pair(nbs.points, nbs.colors)  # a set has two colors
+    (a, b), ab, sweeps = _farthest_pair(nbs.points, nbs.colors, nbs.floats)  # a set has two colors
     _check_length_bound(nbs.n - 1, ab)
 
     row = _rows(nbs, sweeps)
@@ -353,7 +364,7 @@ def stnb_region_report(nbs: NeighborhoodSet) -> StnbRegionReport:
     """Classify every flattened vertex against the lenses L, L1, L2, L' and
     the ellipse E of the bichromatic diametral pair (a, b), from its
     distances to a and b divided by |ab|."""
-    (a, b), ab, sweeps = _farthest_pair(nbs.points, nbs.colors)
+    (a, b), ab, sweeps = _farthest_pair(nbs.points, nbs.colors, nbs.floats)
     if ab == 0.0:
         raise ValueError("coincident pair")
     params = stnb_params()

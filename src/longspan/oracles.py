@@ -117,7 +117,7 @@ def exact_stnb(nbs: NeighborhoodSet, max_assignments: int = 10**6) -> StnbSoluti
         if space > max_assignments:
             raise ValueError("instance too large for oracle")
 
-    _check_length_bound(nbs.n - 1, _farthest_pair(nbs.points, nbs.colors)[1])
+    _check_length_bound(nbs.n - 1, _farthest_pair(nbs.points, nbs.colors, nbs.floats)[1])
     dmat = [_dist_row(nbs.points, p, nbs.floats) for p in nbs.points]
     best_len = -1.0
     best_assign: tuple[int, ...] | None = None

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from operator import neg
 from typing import Callable, Sequence
 
@@ -147,11 +148,12 @@ def _max_tree(
     n = len(points)
     if n == 0:
         raise ValueError("empty point set")
+    floats = set(map(type, chain.from_iterable(points))) == {float}
 
     def row(i: int) -> list[float]:
-        # one row per pick keeps memory O(n); the exact-difference row is dist's
-        # for any input, and negation is exact, so maximizing -dist minimizes
-        d = _dist_row(points, points[i], False)
+        # one row per pick keeps memory O(n); the row is dist's for any
+        # input, and negation is exact, so maximizing -dist minimizes
+        d = _dist_row(points, points[i], floats)
         return list(map(neg, d)) if negate else d
 
     parent, _ = _prim(row, range(n), root, first)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from longspan import geometry, neighborhoods
+from longspan import geometry, neighborhoods, oracles
 from longspan.geometry import bichromatic_diametral_pair, dist
 from longspan.instances import GenSpec, generate
 from longspan.neighborhoods import (
@@ -42,6 +42,14 @@ def _random_nbs(rng, n=None, k=None) -> NeighborhoodSet:
         )
         nbs.append(Neighborhood(color, (ring,)))
     return NeighborhoodSet(nbs)
+
+
+def _sized_nbs(rng, sizes) -> NeighborhoodSet:
+    # one ring per neighborhood, of the given vertex counts, in the unit square
+    return NeighborhoodSet([
+        Neighborhood(color, (tuple((rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(k)),))
+        for color, k in enumerate(sizes, 1)
+    ])
 
 
 def _circle_nbs(rng, n, k) -> NeighborhoodSet:
@@ -265,6 +273,12 @@ def _stnb_corpus(rng):
         yield generate(GenSpec(kind=kind, n=n, seed=rng.randrange(1000), vertices_per_nb=k,
                                epsilon=0.1 if k is None else None))
     yield _circle_nbs(rng, 60, 4)
+    # equal sizes, whose maxima are strided, and unequal ones; 4, 2, 6 add
+    # up to 4 x 3, as four-vertex neighborhoods would
+    for sizes in ((1,) * 7, (2,) * 5, (4,) * 9, (6,) * 6, (4, 2, 6), (6, 2, 4)):
+        yield _sized_nbs(rng, sizes)
+    for _ in range(10):
+        yield _sized_nbs(rng, [rng.randrange(1, 7) for _ in range(rng.randrange(2, 9))])
 
 
 def test_solve_stnb_matches_reference():
@@ -277,6 +291,16 @@ def test_solve_stnb_matches_reference():
         assert rep.length == ref["length"]
         assert rep.upper_bound == ref["upper_bound"]
         assert rep.metrics == ref["metrics"]
+
+
+def test_row_maxima_match_a_plain_max_per_neighborhood():
+    # the row source's per-neighborhood maxima, strided for equal sizes and
+    # sliced for unequal ones, against one max per neighborhood
+    for nbs in _stnb_corpus(random.Random(21)):
+        row = neighborhoods._rows(nbs)
+        for v in range(len(nbs.points)):
+            r, tops = row(v)
+            assert tops == [max(r[u] for u in span) for span in nbs.ranges]
 
 
 def test_solve_stnb_keeps_exact_differences_of_ints_and_fractions():
@@ -321,7 +345,7 @@ def test_solve_stnb_builds_each_distance_row_once(monkeypatch):
         return dist_row(points, origin, floats)
 
     for nbs, rows, shared in ((spread, 6, {0, 1}), (circle, 8, set())):
-        pair, _, sweeps = geometry._farthest_pair(nbs.points, nbs.colors)
+        pair, _, sweeps = geometry._farthest_pair(nbs.points, nbs.colors, nbs.floats)
         assert {k for k in (0, 1) if pair[k] in sweeps} == shared
         with monkeypatch.context() as m:
             for module in (geometry, neighborhoods):
@@ -330,6 +354,44 @@ def test_solve_stnb_builds_each_distance_row_once(monkeypatch):
             rep = solve_stnb(nbs)
         assert len(built) == rows
         assert rep.metrics == solve_stnb_reference(nbs)["metrics"]
+
+
+def test_neighborhood_callers_hand_the_scan_the_set_verdict(monkeypatch):
+    # solve_stnb, stnb_region_report and exact_stnb give the scan the
+    # all-float verdict their set holds, and the scan builds its rows on
+    # it with no type pass of its own.  hypot rows equal math.dist rows on
+    # floats, so a float set whose verdict reads False gives the same
+    # results, and only the verdict's source shows.
+    scan, dist_row = geometry._farthest_pair, geometry._dist_row
+    handed, built = [], []
+
+    def spy(points, colors, floats=None):
+        handed.append(floats)
+        return scan(points, colors, floats)
+
+    def counting_row(points, origin, floats):
+        built.append(floats)
+        return dist_row(points, origin, floats)
+
+    rng = random.Random(22)
+    ints = NeighborhoodSet([Neighborhood(c, (((c, 0), (c, c % 3), (0, c)),)) for c in range(1, 5)])
+    for nbs in (_random_nbs(rng, n=4, k=3), ints):
+        want = [call(nbs) for call in (solve_stnb, stnb_region_report, exact_stnb)]
+        for floats in (nbs.floats, False):
+            nbs.floats = floats
+            with monkeypatch.context() as m:
+                for module in (neighborhoods, oracles):
+                    m.setattr(module, "_farthest_pair", spy)
+                for call, result in zip((solve_stnb, stnb_region_report, exact_stnb), want):
+                    handed.clear()
+                    assert call(nbs) == result
+                    assert handed == [floats]
+    nbs = _random_nbs(rng, n=5, k=2)
+    monkeypatch.setattr(geometry, "_dist_row", counting_row)
+    for floats in (True, False):
+        built.clear()
+        assert scan(nbs.points, nbs.colors, floats)[:2] == scan(nbs.points, nbs.colors)[:2]
+        assert built[:3] == [floats] * 3 and built[3:] == [True] * 3
 
 
 def test_public_builders_read_the_solver_rows():

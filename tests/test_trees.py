@@ -2,10 +2,11 @@ import functools
 import math
 import operator
 import random
+from fractions import Fraction
 
 import pytest
 
-from longspan import geometry
+from longspan import geometry, trees
 from longspan.geometry import dist, orientation
 from longspan.instances import GenSpec, generate
 from longspan.trees import (
@@ -204,6 +205,45 @@ def test_max_spanning_tree_through_forces_edge():
             if (min(i, j), max(i, j)) in e
         )
         assert tree_length(t, pts) == pytest.approx(best, abs=1e-12)
+
+
+def test_spanning_trees_take_the_float_row_on_floats(monkeypatch):
+    # all-float input builds its Prim rows with math.dist and other input on
+    # the exact-difference path; the trees equal those built on the
+    # exact-difference path throughout.  Floats beside ints near 2^60 that
+    # no double holds are made Fractions, so those sets take it too.
+    rng = random.Random(30)
+    corpus = []
+    for _ in range(60):
+        n = rng.randrange(2, 12)
+        corpus += [
+            [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)],
+            [(rng.randrange(-4, 5), rng.randrange(-4, 5)) for _ in range(n)],
+            [(Fraction(rng.randrange(-9, 10), 7), Fraction(rng.randrange(-9, 10), 3))
+             for _ in range(n)],
+            [(rng.choice((float, int))(2**60 + rng.randrange(0, 1024, 64)), rng.randrange(3))
+             for _ in range(n)],
+        ]
+    builds = (min_spanning_tree, max_spanning_tree,
+              lambda pts: max_spanning_tree_through(pts, 0, len(pts) - 1))
+    dist_row, verdicts = geometry._dist_row, []
+
+    def exact_row(points, origin, floats):
+        return dist_row(points, origin, False)
+
+    def spy(points, origin, floats):
+        verdicts.append(floats)
+        return dist_row(points, origin, floats)
+
+    for pts in corpus:
+        with monkeypatch.context() as m:
+            m.setattr(trees, "_dist_row", exact_row)
+            want = [build(pts).edges for build in builds]
+        verdicts.clear()
+        with monkeypatch.context() as m:
+            m.setattr(trees, "_dist_row", spy)
+            assert [build(pts).edges for build in builds] == want
+        assert set(verdicts) == {all(type(c) is float for p in pts for c in p)}
 
 
 LATTICE_4X4 = [(x, y) for y in range(4) for x in range(4)]
