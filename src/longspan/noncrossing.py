@@ -6,7 +6,7 @@ monotone path when the input is collinear, where stars self-overlap); each
 guess adds two anchored trees T_a and T_b built in three sweeps (far-strip
 points to the anchor, near-strip points into angular wedges, middle-strip
 points greedily to visible wedge endpoints).  Every builder makes a spanning
-tree by construction, so one crossing scan, is_noncrossing, validates each
+tree by construction, so one crossing scan, is_noncrossing's, validates each
 candidate, and the reported tree is always a noncrossing spanning tree.
 """
 
@@ -16,13 +16,13 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .geometry import (
-    _check_length_bound, _farthest_pair, _first_crossing, _segment, as_points, dist, orientation,
+    _check_length_bound, _dist_row, _farthest_pair, _first_crossing, as_points, dist, orientation,
 )
 from .report import SolveReport
-from .trees import Tree, is_noncrossing, star, tree_length
+from .trees import Tree, _crossing_scan, _shared_segments, is_noncrossing, star
 
 DELTA_NONCROSSING = 0.519
 STRIP_OMEGA = 0.16
@@ -202,7 +202,7 @@ def _finish_candidate(
 
 def _anchored_tree(
     points: Sequence[Sequence[float]], root: int, far: int, tag: str,
-    guess: tuple[int, int],
+    guess: tuple[int, int], segment: Callable[[int, int], tuple],
 ) -> NcstCandidate:
     """Three-sweep construction anchored at `root` with mate `far`.
 
@@ -212,7 +212,8 @@ def _anchored_tree(
     its wedge (points on the axis count as below it).  Sweep 3 walks the
     middle-strip points in increasing angle and attaches each to the
     farthest visible wedge endpoint, falling back to the nearest visible
-    tree vertex; an unattachable point aborts the construction.
+    tree vertex; an unattachable point aborts the construction.  Every
+    segment comes from segment(i, j), which a solve shares across trees.
     """
     for k in (root, far):
         if not 0 <= k < len(points):
@@ -249,11 +250,12 @@ def _anchored_tree(
         attached.append(k)
 
     # Built only for middle points, which two-cluster input lacks.  No edge
-    # joins coincident points: spokes and left-strip edges join two strips.
-    segs = [_segment(points[i], points[j]) for i, j in edges] if middle else []
+    # joins coincident points (spokes and left-strip edges join two strips,
+    # and visible() checks the rest), so the closing scan cannot raise.
+    segs = [segment(i, j) for i, j in edges] if middle else []
 
-    def visible(p, w: int) -> bool:
-        s = _segment(p, points[w])
+    def visible(k: int, w: int) -> bool:
+        s = segment(k, w)
         return s[0] != s[1] and _first_crossing(s, segs) < 0
 
     for k in sorted(middle, key=theta.__getitem__):
@@ -263,27 +265,28 @@ def _anchored_tree(
         if i + 1 < len(spokes) and theta[k] >= spoke_angles[0]:
             cands.add(spokes[i + 1])
         ordered = sorted(cands, key=lambda w: (-dist(p, points[w]), w))
-        target = next((w for w in ordered if visible(p, w)), None)
+        target = next((w for w in ordered if visible(k, w)), None)
         if target is None:
             fallback = sorted(attached, key=lambda w: (dist(p, points[w]), w))
-            target = next((w for w in fallback if visible(p, w)), None)
+            target = next((w for w in fallback if visible(k, w)), None)
         if target is None:
             return NcstCandidate(None, tag, guess, False)
         edges.append((target, k))
-        segs.append(_segment(points[target], p))
+        segs.append(segment(target, k))
         attached.append(k)
 
-    return _finish_candidate(points, Tree(len(points), tuple(edges)), tag, guess)
+    tree = Tree(len(points), tuple(edges))
+    return NcstCandidate(tree, tag, guess, _crossing_scan(tree.edges, segment)[0])
 
 
 def build_Ta(points: Sequence[Sequence[float]], a: int, b: int) -> NcstCandidate:
     """Anchored tree for guess (a, b) rooted at a."""
-    return _anchored_tree(points, a, b, "Ta", (a, b))
+    return _anchored_tree(points, a, b, "Ta", (a, b), _shared_segments(points))
 
 
 def build_Tb(points: Sequence[Sequence[float]], a: int, b: int) -> NcstCandidate:
     """Mirror construction rooted at b (same sweeps, reversed axis)."""
-    return _anchored_tree(points, b, a, "Tb", (a, b))
+    return _anchored_tree(points, b, a, "Tb", (a, b), _shared_segments(points))
 
 
 def _monotone_path(points: Sequence[Sequence[float]], iu: int, iv: int) -> Tree:
@@ -299,38 +302,46 @@ def solve_ncst(points: Sequence[Sequence[float]], prune: bool = True) -> SolveRe
 
     Candidates: the n stars, a monotone path on collinear input (where
     stars self-overlap), and T_a and T_b per guess pair.  They span by
-    construction, and is_noncrossing alone discards invalid ones.  Pruning
-    skips guesses shorter than d * diameter, which the stars cover.  Ties
-    keep the earliest candidate in the order stars (by center), path, every
-    T_a, then every T_b (each by lexicographic guess).  Raises ValueError
-    when (n - 1) * diameter overflows a double.
+    construction, and is_noncrossing's scan alone discards invalid ones.
+    Pruning skips guesses shorter than d * diameter, which the stars cover.
+    Ties keep the earliest candidate in the order stars (by center), path,
+    every T_a, then every T_b (each by lexicographic guess).  Each call
+    works out every point pair once: one table of n^2 distances for the
+    guess filter and the lengths, and one segment per pair, on first use,
+    for all the anchored trees.  Raises ValueError when (n - 1) * diameter
+    overflows a double.
     """
     n = len(points)
     if n < 2:
         raise ValueError("need at least two points")
     pts = as_points(points)
-    (iu, iv), diam, _ = _farthest_pair(pts, range(n))
+    floats = set(map(type, chain.from_iterable(pts))) == {float}
+    (iu, iv), diam, _ = _farthest_pair(pts, range(n), floats)
     if diam == 0.0:
         raise ValueError("all points coincide")
     _check_length_bound(n - 1, diam)
 
+    rows = [_dist_row(pts, p, floats) for p in pts]  # rows[i][j] is dist(pts[i], pts[j])
     threshold = ncst_params(1.0).d * diam * (1.0 - 1e-12)
     guesses = [
         (i, j) for i in range(n) for j in range(i + 1, n)
-        if (ab := dist(pts[i], pts[j])) != 0.0 and not (prune and ab < threshold)
+        if (ab := rows[i][j]) != 0.0 and not (prune and ab < threshold)
     ]
     # iu and iv differ by value, since diam > 0
     collinear = all(orientation(pts[iu], pts[iv], p) == 0 for p in pts)
+    segment = _shared_segments(pts)  # one per point pair for every anchored tree
     candidates = chain(
         (_finish_candidate(pts, star(pts, c), "star", None, center=c) for c in range(n)),
         [_finish_candidate(pts, _monotone_path(pts, iu, iv), "path", None)] if collinear else [],
-        (build_Ta(pts, i, j) for i, j in guesses),
-        (build_Tb(pts, i, j) for i, j in guesses),
+        (_anchored_tree(pts, i, j, "Ta", (i, j), segment) for i, j in guesses),
+        (_anchored_tree(pts, j, i, "Tb", (i, j), segment) for i, j in guesses),
     )
     winner, winner_len = None, -1.0
     for cand in candidates:  # in tie order: only a strictly longer tree wins
         if cand.noncrossing:
-            length = tree_length(cand.tree, pts)
+            length = 0.0
+            for i, j in cand.tree.edges:  # added in tree_length's order
+                length += rows[i][j]
             if length > winner_len:
                 winner, winner_len = cand, length
     if winner is None:

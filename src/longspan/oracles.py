@@ -72,9 +72,7 @@ def exact_ncst(
             v = parent[v]
         return v
 
-    chosen: list[int] = []
-
-    def dfs(k: int, length: float, chosen_mask: int) -> None:
+    def dfs(k: int, length: float, chosen_mask: int, chosen: tuple[int, ...]) -> None:
         nonlocal best_len, best_edges
         if len(chosen) == target:
             tree_edges = tuple(sorted((edges[x][1], edges[x][2]) for x in chosen))
@@ -90,13 +88,11 @@ def exact_ncst(
         ri, rj = find(i), find(j)
         if ri != rj and not (cross_mask[k] & chosen_mask):
             parent[ri] = rj
-            chosen.append(k)
-            dfs(k + 1, length + d, chosen_mask | (1 << k))
-            chosen.pop()
+            dfs(k + 1, length + d, chosen_mask | (1 << k), chosen + (k,))
             parent[ri] = ri
-        dfs(k + 1, length, chosen_mask)
+        dfs(k + 1, length, chosen_mask, chosen)
 
-    dfs(0, 0.0, 0)
+    dfs(0, 0.0, 0, ())
     if best_edges is None:
         raise ValueError("no noncrossing spanning tree found")
     return Tree(n, best_edges)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain
 from operator import neg
 from typing import Callable, Sequence
@@ -90,10 +91,14 @@ def is_noncrossing(
     and a zero-length one raises ValueError first.  The points are taken as
     given, as by tree_length.
     """
-    edges = tree.edges
+    return _crossing_scan(tree.edges, lambda i, j: _segment(points[i], points[j]))
+
+
+def _crossing_scan(edges: Sequence[tuple[int, int]], segment: Callable) -> tuple:
+    # is_noncrossing's scan, taking each edge's segment from segment(i, j)
     segs = []
     for i, j in edges:
-        s = _segment(points[i], points[j])
+        s = segment(i, j)
         if s[0] == s[1] and len(edges) > 1:
             raise ValueError(f"zero-length edge ({i}, {j})")
         segs.append(s)
@@ -101,6 +106,13 @@ def is_noncrossing(
         if (m := _first_crossing(s, segs, k + 1)) >= 0:
             return False, (edges[k], edges[m])
     return True, None
+
+
+def _shared_segments(points: Sequence[Sequence[float]]) -> Callable[[int, int], tuple]:
+    # A segment source for _crossing_scan that builds each pair's segment once,
+    # keyed by (min, max): the kernel's exact verdict ignores endpoint order.
+    pair = cache(lambda i, j: _segment(points[i], points[j]))
+    return lambda i, j: pair(i, j) if i < j else pair(j, i)
 
 
 def _prim(

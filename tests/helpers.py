@@ -2,7 +2,9 @@
 
 Nothing here calls the code paths under test: labeled trees come from
 Prüfer decoding, crossing-free optima from filtered full enumeration, and
-Fermat points from a grid search with local refinement.
+Fermat points from a grid search with local refinement.  The one exception,
+solve_ncst_reference, composes solve_ncst from its public builders, so that
+any work solve_ncst shares between candidates must leave its report as is.
 """
 
 from __future__ import annotations
@@ -238,3 +240,56 @@ def solve_stnb_reference(nbs) -> dict:
         "ratio_to_upper": winner["length"] / upper if upper > 0 else None,
         "candidate_lengths": {cand["candidate"]: cand["length"] for cand in cands},
     })
+
+
+def solve_ncst_reference(pts, prune: bool = True) -> dict:
+    """solve_ncst from its public builders, one candidate at a time: every
+    star, the monotone path on collinear input, and build_Ta and build_Tb
+    for every guess, each checked by is_noncrossing (a ValueError rejects
+    it) and summed by tree_length.  The first strictly longest candidate
+    wins, in the order stars by center, path, every T_a, every T_b.  The
+    diametral pair comes from farthest_pair_reference and collinearity
+    from orientation_reference; the path orders the points by their exact
+    projection onto that pair, ties by index.  Returns the report's fields
+    and the guesses; raises ValueError when no candidate is valid."""
+    from fractions import Fraction
+
+    from longspan import Tree, build_Ta, build_Tb, is_noncrossing, ncst_params, star, tree_length
+
+    n = len(pts)
+    iu, iv = farthest_pair_reference(pts, range(n))
+    diam = math.hypot(pts[iu][0] - pts[iv][0], pts[iu][1] - pts[iv][1])
+    threshold = ncst_params(1.0).d * diam * (1.0 - 1e-12)
+    guesses = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            ab = math.hypot(pts[i][0] - pts[j][0], pts[i][1] - pts[j][1])
+            if ab != 0.0 and not (prune and ab < threshold):
+                guesses.append((i, j))
+    cands = [("star", None, star(pts, c), c) for c in range(n)]
+    if all(orientation_reference(pts[iu], pts[iv], p) == 0 for p in pts):
+        (ux, uy), (vx, vy) = (map(Fraction, pts[iu]), map(Fraction, pts[iv]))
+        proj = [(Fraction(x) - ux) * (vx - ux) + (Fraction(y) - uy) * (vy - uy) for x, y in pts]
+        order = sorted(range(n), key=proj.__getitem__)
+        cands.append(("path", None, Tree(n, tuple(zip(order, order[1:]))), None))
+    cands += [("Ta", g, build_Ta(pts, *g).tree, None) for g in guesses]
+    cands += [("Tb", g, build_Tb(pts, *g).tree, None) for g in guesses]
+    best = None
+    for tag, guess, tree, center in cands:
+        if tree is None:
+            continue
+        try:
+            ok = is_noncrossing(tree, pts)[0]
+        except ValueError:
+            ok = False
+        if ok and (best is None or tree_length(tree, pts) > best[0]):
+            best = tree_length(tree, pts), tag, guess, tree, center
+    if best is None:
+        raise ValueError("no valid noncrossing candidate")
+    length, tag, guess, tree, center = best
+    metrics = {"diameter": diam, "diametral_pair": [iu, iv], "guesses_tried": len(guesses),
+               "pruned": prune, "ratio_to_upper": length / ((n - 1) * diam)}
+    if center is not None:
+        metrics["center"] = center
+    return {"candidate": tag, "guess": guess, "edges": tree.edges, "length": length,
+            "metrics": metrics, "guesses": guesses}

@@ -6,8 +6,9 @@ import pytest
 
 from longspan.cli import main
 from longspan.geometry import Point
-from longspan.instances import read_tree, write_neighborhoods, write_tree
+from longspan.instances import format_tree, read_points, read_tree, write_neighborhoods, write_tree
 from longspan.neighborhoods import Neighborhood, NeighborhoodSet
+from longspan.noncrossing import solve_ncst
 from longspan.report import SolveReport
 from longspan.trees import Tree, tree_length
 
@@ -72,6 +73,20 @@ def test_full_ncst_pipeline_with_oracle_and_ratio(tmp_path, capsys):
     metrics = json.loads(report.read_text(encoding="utf-8"))
     assert metrics["algorithm"] == "ncst"
     assert 0 < metrics["metrics"]["ratio_to_upper"] <= 1
+
+
+def test_ncst_no_prune_writes_the_unpruned_report(tmp_path):
+    pts = tmp_path / "p.pts"
+    pruned, unpruned = tmp_path / "a.json", tmp_path / "b.json"
+    assert run("gen", "--kind", "two_cluster", "--n", "10", "--seed", "3",
+               "--epsilon", "0.001", "--out", str(pts)) == 0
+    assert run("ncst", "--points", str(pts), "--out", str(pruned)) == 0
+    assert run("ncst", "--points", str(pts), "--out", str(unpruned), "--no-prune") == 0
+    text = unpruned.read_text(encoding="utf-8")
+    assert text == format_tree(solve_ncst(read_points(pts), prune=False))
+    a, b = (json.loads(f.read_text(encoding="utf-8"))["metrics"] for f in (pruned, unpruned))
+    assert (a["pruned"], b["pruned"]) == (True, False)
+    assert a["guesses_tried"] != b["guesses_tried"]
 
 
 def test_full_stnb_pipeline(tmp_path):

@@ -1,10 +1,11 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
-from longspan import noncrossing, oracles
-from longspan.geometry import diametral_pair, dist, orientation
+from longspan import noncrossing, oracles, trees
+from longspan.geometry import _segment, diametral_pair, dist, orientation
 from longspan.instances import GenSpec, generate
 from longspan.noncrossing import (
     _strip_split,
@@ -17,7 +18,7 @@ from longspan.noncrossing import (
 from longspan.oracles import exact_ncst
 from longspan.trees import is_noncrossing, star, tree_length, validate_spanning_tree
 
-from helpers import crossing_scan_reference, max_noncrossing_tree_bruteforce
+from helpers import crossing_scan_reference, max_noncrossing_tree_bruteforce, solve_ncst_reference
 
 
 def test_ncst_params_values():
@@ -318,15 +319,105 @@ def test_crossing_kernel_callers_match_the_reference_scan(pts, monkeypatch):
     assert -1 in found and max(found) >= 0  # visible and blocked both occur
 
 
-def test_solve_ncst_prune_matches_noprune():
+def _prune_corpus():
     rng = random.Random(35)
-    for _ in range(6):
-        n = rng.randrange(4, 8)
-        pts = [(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(n)]
-        a = solve_ncst(pts, prune=True)
+    for _ in range(60):
+        yield [(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(rng.randrange(4, 11))]
+    for seed in range(20):
+        yield generate(GenSpec("two_cluster", rng.randrange(4, 11), seed, epsilon=1e-3))
+    cells = [(x, y) for x in range(5) for y in range(5)]
+    for _ in range(20):
+        yield rng.sample(cells, rng.randrange(4, 11))
+
+
+def test_solve_ncst_prune_matches_noprune():
+    # pruning only drops guesses shorter than d * diameter: the unpruned
+    # solve can only find a longer tree, and when its winner is a candidate
+    # the pruned solve also builds (a star, the path or a long guess), the
+    # same candidates come first in the same order, so both pick it
+    same = longer = 0
+    for pts in _prune_corpus():
+        try:
+            a = solve_ncst(pts, prune=True)
+        except ValueError:
+            continue
         b = solve_ncst(pts, prune=False)
-        assert a.length <= b.length + 1e-12  # extra guesses can only help
-        assert b.length >= a.length - 1e-12
+        assert b.length >= a.length
+        threshold = ncst_params(1.0).d * b.metrics["diameter"] * (1 - 1e-12)
+        if b.guess is None or dist(pts[b.guess[0]], pts[b.guess[1]]) >= threshold:
+            same += 1
+            assert (a.candidate, a.guess, a.tree, a.length) == (
+                b.candidate, b.guess, b.tree, b.length)
+        longer += b.length > a.length
+    assert same >= 20 and longer >= 10  # both sides of the property occur
+
+
+def _reference_corpus():
+    rng = random.Random(22)
+    for n in (4, 7, 10, 13, 16):
+        yield f"uniform{n}", [(rng.random(), rng.random()) for _ in range(n)]
+    for eps in (1e-6, 1e-3):
+        for n in (6, 13, 20):
+            yield f"two_cluster{n}-{eps}", generate(GenSpec("two_cluster", n, n, epsilon=eps))
+    cells = [(x, y) for x in range(5) for y in range(5)]
+    for k in (4, 6, 9, 12):
+        yield f"lattice{k}", rng.sample(cells, k)
+    yield "lattice-row", [(x, 3) for x in rng.sample(range(5), 5)]
+    yield "lattice-diagonal", [(x, 4 - x) for x in rng.sample(range(5), 4)]
+    for k in (5, 8, 11):
+        yield f"duplicates{k}", [rng.choice(cells[:7]) for _ in range(k)]
+
+
+@pytest.mark.parametrize("prune", [True, False])
+@pytest.mark.parametrize("pts", [pytest.param(p, id=k) for k, p in _reference_corpus()])
+def test_solve_ncst_matches_its_public_builders(pts, prune):
+    # solve_ncst shares distances and segments across its candidates; the
+    # reference builds and checks each candidate on its own
+    for e in (0, 500, -500):
+        scaled = [(math.ldexp(x, e), math.ldexp(y, e)) for x, y in pts] if e else pts
+        try:
+            want = solve_ncst_reference(scaled, prune)
+        except ValueError:
+            with pytest.raises(ValueError):
+                solve_ncst(scaled, prune)
+            continue
+        rep = solve_ncst(scaled, prune)
+        got = {"candidate": rep.candidate, "guess": rep.guess, "edges": rep.tree.edges,
+               "length": rep.length, "metrics": rep.metrics}
+        assert got == {k: v for k, v in want.items() if k != "guesses"}, e
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_solve_ncst_works_out_each_point_pair_once(seed, monkeypatch):
+    # Every star builds its own segments, and each pair is an edge of two
+    # stars, so a pair built more than three times was built twice for the
+    # anchored trees.  The guess filter and the lengths read the distance
+    # table, so every dist call left is one that the anchored trees make.
+    pts = generate(GenSpec("two_cluster", 20, seed, epsilon=1e-6))
+    guesses = solve_ncst_reference(pts)["guesses"]
+    built, calls = Counter(), []
+
+    def segment_spy(p, q):
+        built[frozenset((tuple(p), tuple(q)))] += 1
+        return _segment(p, q)
+
+    def dist_spy(p, q):
+        calls.append((p, q))
+        return dist(p, q)
+
+    for module in (noncrossing, trees):
+        monkeypatch.setattr(module, "_segment", segment_spy, raising=False)
+        monkeypatch.setattr(module, "dist", dist_spy)
+    for i, j in guesses:
+        build_Ta(pts, i, j)
+        build_Tb(pts, i, j)
+    anchored_calls = len(calls)
+    built.clear()
+    calls.clear()
+    rep = solve_ncst(pts)
+    assert rep.metrics["guesses_tried"] == len(guesses) == 100
+    assert len(built) == 190 and max(built.values()) <= 3
+    assert len(calls) == anchored_calls
 
 
 def test_solve_ncst_keeps_the_first_of_tied_candidates():
