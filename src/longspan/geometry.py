@@ -39,7 +39,7 @@ class Point(NamedTuple):
 
 
 def as_points(points: Iterable[Sequence[float]]) -> list[Point]:
-    """The input as a list of Points, reusing those that already are.
+    """The input as a list of Points, reusing input Points of two Python floats.
 
     Integer scalars such as numpy's become Python ints, whose products
     cannot wrap, and other floats such as numpy float32 and float64 become
@@ -55,7 +55,8 @@ def as_points(points: Iterable[Sequence[float]]) -> list[Point]:
     floats = inexact = False
     try:
         for k, p in enumerate(points):
-            pts.append(p if isinstance(p, Point) else Point(_scalar(p[0]), _scalar(p[1])))
+            keep = isinstance(p, Point) and type(p.x) is type(p.y) is float
+            pts.append(p if keep else Point(_scalar(p[0]), _scalar(p[1])))
             x, y = pts[-1]
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValueError(f"point {k} has a non-finite coordinate ({x!r}, {y!r})")

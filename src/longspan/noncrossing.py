@@ -127,7 +127,11 @@ def _strip_split(points: Sequence[Sequence[float]], a: int, b: int) -> tuple:
     strip: "left" for x < omega*|ab|, "right" for x > (1 - omega)*|ab|,
     "middle" between, the strip lines included.  Below _STRIP_MIN_AB the
     frame is that of the offsets from a scaled by a power of two, so that
-    the strip lines stay apart.  Raises ValueError when a and b coincide."""
+    the strip lines stay apart.  The one check of a guess: raises
+    ValueError when a or b is out of range or the two points coincide."""
+    for k in (a, b):
+        if not 0 <= k < len(points):
+            raise ValueError(f"guess index {k} out of range for {len(points)} points")
     pa, pb = points[a], points[b]
     ab = unit = dist(pa, pb)
     if ab == 0.0:
@@ -149,13 +153,11 @@ def _strip_split(points: Sequence[Sequence[float]], a: int, b: int) -> tuple:
 def classify_points(points: Sequence[Sequence[float]], a: int, b: int) -> RegionClassifier:
     """Label every point against the regions of the guess (a, b).
 
-    Coordinates must be diameter-scaled (diameter 1): the lens L uses disks
-    of radius 1 around a and b.  Strip membership projects onto the ab
-    direction; points exactly on a strip line count as middle.
+    Coordinates, taken through as_points, must be diameter-scaled (diameter
+    1): the lens L uses disks of radius 1 around a and b.  Strip membership
+    projects onto the ab direction; points on a strip line count as middle.
     """
-    for k in (a, b):
-        if not 0 <= k < len(points):
-            raise ValueError(f"guess index {k} out of range for {len(points)} points")
+    points = as_points(points)
     ab, _, _, strips = _strip_split(points, a, b)
     params = ncst_params(ab)
     pa, pb = points[a], points[b]
@@ -173,8 +175,8 @@ def classify_points(points: Sequence[Sequence[float]], a: int, b: int) -> Region
 @dataclass(frozen=True)
 class NcstCandidate:
     """One candidate tree: a star, the collinear fallback path, or an
-    anchored tree for a guess.  noncrossing is is_noncrossing's verdict on a
-    tree that spans by construction; a failed construction carries tree=None."""
+    anchored tree for a guess, with the verdict of its crossing scan.
+    _candidate makes every one; a failed construction carries tree=None."""
 
     tree: Tree | None
     tag: str  # "star" | "path" | "Ta" | "Tb"
@@ -183,27 +185,24 @@ class NcstCandidate:
     center: int | None = None
 
 
-def _finish_candidate(
-    points: Sequence[Sequence[float]],
-    tree: Tree,
-    tag: str,
-    guess: tuple[int, int] | None,
-    center: int | None = None,
+def _candidate(
+    points: Sequence[Sequence[float]], tree: Tree | None, tag: str,
+    guess: tuple[int, int] | None = None, seg: Callable | None = None, center: int | None = None,
 ) -> NcstCandidate:
-    # Every builder spans by construction: each attaches every non-root
-    # point once, to a point already placed.  So the crossing scan is the
-    # one check, and its zero-length error (equal points by value) rejects.
+    # Builders span by construction, so the crossing scan is the one check:
+    # is_noncrossing's, over the shared segments seg(i, j) for anchored trees.
+    # A failed construction or a zero-length edge (equal points) rejects.
     try:
-        ok = is_noncrossing(tree, points)[0]
+        ok = tree is not None and (
+            _crossing_scan(tree.edges, seg) if seg else is_noncrossing(tree, points))[0]
     except ValueError:
         ok = False
     return NcstCandidate(tree, tag, guess, ok, center)
 
 
 def _anchored_tree(
-    points: Sequence[Sequence[float]], root: int, far: int, tag: str,
-    guess: tuple[int, int], segment: Callable[[int, int], tuple],
-) -> NcstCandidate:
+    points: Sequence[Sequence[float]], root: int, far: int, segment: Callable[[int, int], tuple],
+) -> Tree | None:
     """Three-sweep construction anchored at `root` with mate `far`.
 
     Sweep 1 connects every right-strip point (beyond the far strip line) to
@@ -215,15 +214,7 @@ def _anchored_tree(
     tree vertex; an unattachable point aborts the construction.  Every
     segment comes from segment(i, j), which a solve shares across trees.
     """
-    for k in (root, far):
-        if not 0 <= k < len(points):
-            raise ValueError(f"guess index {k} out of range for {len(points)} points")
-    if root == far:
-        raise ValueError("guess endpoints must differ")
-    try:
-        _, xs, ys, strips = _strip_split(points, root, far)
-    except ValueError:  # the guess points coincide
-        return NcstCandidate(None, tag, guess, False)
+    _, xs, ys, strips = _strip_split(points, root, far)
     # every point's angle about the root from the direction of far, in [-pi, pi)
     theta = [-math.pi if th == math.pi else th for th in map(math.atan2, ys, xs)]
 
@@ -235,7 +226,7 @@ def _anchored_tree(
     # Reached when |ab| is subnormal and a point lies 1/2 or more away:
     # _strip_split keeps the frame, and the strip lines round together.
     if far not in right:
-        return NcstCandidate(None, tag, guess, False)
+        return None
 
     spokes = sorted(right, key=lambda k: (theta[k], dist(points[root], points[k])))
     spoke_angles = [theta[k] for k in spokes]
@@ -251,7 +242,7 @@ def _anchored_tree(
 
     # Built only for middle points, which two-cluster input lacks.  No edge
     # joins coincident points (spokes and left-strip edges join two strips,
-    # and visible() checks the rest), so the closing scan cannot raise.
+    # and visible() checks the rest), so the crossing scan cannot raise.
     segs = [segment(i, j) for i, j in edges] if middle else []
 
     def visible(k: int, w: int) -> bool:
@@ -270,23 +261,23 @@ def _anchored_tree(
             fallback = sorted(attached, key=lambda w: (dist(p, points[w]), w))
             target = next((w for w in fallback if visible(k, w)), None)
         if target is None:
-            return NcstCandidate(None, tag, guess, False)
+            return None
         edges.append((target, k))
         segs.append(segment(target, k))
         attached.append(k)
-
-    tree = Tree(len(points), tuple(edges))
-    return NcstCandidate(tree, tag, guess, _crossing_scan(tree.edges, segment)[0])
+    return Tree(len(points), tuple(edges))
 
 
 def build_Ta(points: Sequence[Sequence[float]], a: int, b: int) -> NcstCandidate:
-    """Anchored tree for guess (a, b) rooted at a."""
-    return _anchored_tree(points, a, b, "Ta", (a, b), _shared_segments(points))
+    """Anchored tree for guess (a, b) rooted at a, over as_points(points)."""
+    seg = _shared_segments(pts := as_points(points))
+    return _candidate(pts, _anchored_tree(pts, a, b, seg), "Ta", (a, b), seg)
 
 
 def build_Tb(points: Sequence[Sequence[float]], a: int, b: int) -> NcstCandidate:
     """Mirror construction rooted at b (same sweeps, reversed axis)."""
-    return _anchored_tree(points, b, a, "Tb", (a, b), _shared_segments(points))
+    seg = _shared_segments(pts := as_points(points))
+    return _candidate(pts, _anchored_tree(pts, b, a, seg), "Tb", (a, b), seg)
 
 
 def _monotone_path(points: Sequence[Sequence[float]], iu: int, iv: int) -> Tree:
@@ -302,7 +293,7 @@ def solve_ncst(points: Sequence[Sequence[float]], prune: bool = True) -> SolveRe
 
     Candidates: the n stars, a monotone path on collinear input (where
     stars self-overlap), and T_a and T_b per guess pair.  They span by
-    construction, and is_noncrossing's scan alone discards invalid ones.
+    construction, and _candidate's crossing scan alone discards the rest.
     Pruning skips guesses shorter than d * diameter, which the stars cover.
     Ties keep the earliest candidate in the order stars (by center), path,
     every T_a, then every T_b (each by lexicographic guess).  Each call
@@ -329,12 +320,12 @@ def solve_ncst(points: Sequence[Sequence[float]], prune: bool = True) -> SolveRe
     ]
     # iu and iv differ by value, since diam > 0
     collinear = all(orientation(pts[iu], pts[iv], p) == 0 for p in pts)
-    segment = _shared_segments(pts)  # one per point pair for every anchored tree
+    seg = _shared_segments(pts)  # one per point pair for every anchored tree
     candidates = chain(
-        (_finish_candidate(pts, star(pts, c), "star", None, center=c) for c in range(n)),
-        [_finish_candidate(pts, _monotone_path(pts, iu, iv), "path", None)] if collinear else [],
-        (_anchored_tree(pts, i, j, "Ta", (i, j), segment) for i, j in guesses),
-        (_anchored_tree(pts, j, i, "Tb", (i, j), segment) for i, j in guesses),
+        (_candidate(pts, star(pts, c), "star", center=c) for c in range(n)),
+        [_candidate(pts, _monotone_path(pts, iu, iv), "path")] if collinear else [],
+        (_candidate(pts, _anchored_tree(pts, i, j, seg), "Ta", (i, j), seg) for i, j in guesses),
+        (_candidate(pts, _anchored_tree(pts, j, i, seg), "Tb", (i, j), seg) for i, j in guesses),
     )
     winner, winner_len = None, -1.0
     for cand in candidates:  # in tie order: only a strictly longer tree wins

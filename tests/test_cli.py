@@ -6,7 +6,9 @@ import pytest
 
 from longspan.cli import main
 from longspan.geometry import Point
-from longspan.instances import format_tree, read_points, read_tree, write_neighborhoods, write_tree
+from longspan.instances import (
+    format_tree, read_neighborhoods, read_points, read_tree, write_neighborhoods, write_tree,
+)
 from longspan.neighborhoods import Neighborhood, NeighborhoodSet
 from longspan.noncrossing import solve_ncst
 from longspan.report import SolveReport
@@ -124,6 +126,19 @@ def test_check_rejects_corrupted_tree(tmp_path, capsys):
     assert rc == 2
     assert "not spanning" in capsys.readouterr().out
 
+    # the two diagonals of a square cross
+    square = tuple(Point(float(x), float(y)) for x, y in ((0, 0), (1, 0), (1, 1), (0, 1)))
+    crossing = Tree(4, ((0, 2), (1, 3), (0, 1)))
+    write_tree(tree, SolveReport("ncst", "star", square, crossing, tree_length(crossing, square)))
+    assert run("check", "--tree", str(tree)) == 2
+    assert "FAIL: crossing edges (0, 2) and (1, 3)" in capsys.readouterr().out
+    # a valid tree over other points than the points file's
+    assert run("ncst", "--points", str(pts), "--out", str(tree)) == 0
+    other = tmp_path / "q.pts"
+    other.write_text("0 0\n1 0\n0 1\n1 1\n2 2\n", encoding="utf-8")
+    assert run("check", "--tree", str(tree), "--points", str(other)) == 2
+    assert "tree points do not match the points file" in capsys.readouterr().out
+
 
 def test_malformed_tree_file_exits_2(tmp_path, capsys):
     tree = tmp_path / "t.json"
@@ -133,6 +148,11 @@ def test_malformed_tree_file_exits_2(tmp_path, capsys):
                  ("ratio", "--approx", str(tree), "--oracle", str(tree))):
         assert run(*argv) == 2
         assert "malformed tree file" in capsys.readouterr().err
+    # a one-point tree has length zero, which no ratio can divide by
+    lone = tmp_path / "lone.json"
+    write_tree(lone, SolveReport("oracle-ncst", "oracle", (Point(0.0, 0.0),), Tree(1, ()), 0.0))
+    assert run("ratio", "--approx", str(lone), "--oracle", str(lone)) == 2
+    assert "oracle tree has nonpositive length" in capsys.readouterr().err
 
 
 def test_neighborhood_file_with_superscript_count_exits_2(tmp_path, capsys):
@@ -171,6 +191,14 @@ def test_check_rejects_wrong_representatives(tmp_path, capsys):
     rc = run("check", "--tree", str(tree), "--nbs", str(nbs))
     assert rc == 2
     assert "representative" in capsys.readouterr().out
+
+    # two tree points for three colors
+    vertices = read_neighborhoods(nbs).points
+    pair = (Point(*vertices[0]), Point(*vertices[-1]))
+    edge = Tree(2, ((0, 1),))
+    write_tree(tree, SolveReport("stnb", "star", pair, edge, tree_length(edge, pair)))
+    assert run("check", "--tree", str(tree), "--nbs", str(nbs)) == 2
+    assert "not one representative per color" in capsys.readouterr().out
 
     # every tree point is some vertex, but colors 1..n-1 cannot all be
     # matched: a backtracking matcher takes factorial time to find that

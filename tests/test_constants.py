@@ -1,6 +1,6 @@
 import pytest
 
-from longspan.constants import f1, f2, identity_suite, lf_length
+from longspan.constants import f1, f2, identity_suite, lf_length, triple_samples
 from longspan.geometry import dist
 from longspan.instances import SplitMix64
 from longspan.noncrossing import ncst_params
@@ -20,6 +20,11 @@ def test_f1_reference_value_and_cap():
         f1(0.9)
     with pytest.raises(ValueError):
         f2(1.2)
+
+
+def test_triple_samples_rejects_an_unknown_analysis():
+    with pytest.raises(ValueError, match="unknown analysis 'bogus'"):
+        next(triple_samples(SplitMix64(1), "bogus", 1))
 
 
 def test_f1_dominates_f2_and_peaks_at_d():

@@ -9,6 +9,7 @@ from longspan.geometry import (
     COLLINEAR,
     LEFT,
     RIGHT,
+    Point,
     _first_crossing,
     _segment,
     as_points,
@@ -71,6 +72,23 @@ def test_as_points_turns_numpy_floats_into_floats():
     assert orientation(*pts) == orientation_reference(*pts) == LEFT
     exact = as_points([(Fraction(1, 3), 7), (2**70 + 1, 0)])
     assert type(exact[0].x) is Fraction and exact[1].x == 2**70 + 1
+
+
+def test_as_points_converts_points_that_hold_numpy_scalars():
+    np = pytest.importorskip("numpy")
+    # a Point of int64 coordinates was kept as it was, and the float
+    # filter's products wrapped; only Points of two Python floats are kept
+    rng = random.Random(29)
+    for _ in range(300):
+        k = rng.randrange(30, 62)
+        tri = [(rng.randrange(2**k), rng.randrange(2**k)) for _ in range(3)]
+        pts = as_points([Point(np.int64(x), np.int64(y)) for x, y in tri])
+        assert all(type(c) is int for p in pts for c in p)
+        assert orientation(*pts) == orientation_reference(*tri), tri
+    halves = as_points([Point(np.float64(0.5), np.float32(1.5))])
+    assert [type(c) for c in halves[0]] == [float, float]
+    floats = [Point(0.5, 1.0), Point(-2.0, 3.25)]
+    assert all(p is q for p, q in zip(as_points(floats), floats))
 
 
 def test_coordinates_beyond_the_double_range_are_rejected():
@@ -542,6 +560,10 @@ def test_farthest_pair_scans_match_reference():
         for block in range(1, 25):
             colors = [k // block for k in range(25)]
             assert bichromatic_diametral_pair(pts, colors) == farthest_pair_reference(pts, colors)
+    with pytest.raises(ValueError, match="no bichromatic pair"):
+        bichromatic_diametral_pair([], [])
+    with pytest.raises(ValueError, match="points and colors differ in length"):
+        bichromatic_diametral_pair([(0, 0), (1, 0)], [0])
 
 
 def test_farthest_pair_scans_take_numpy_arrays():

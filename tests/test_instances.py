@@ -128,6 +128,8 @@ def test_generate_rejects_bad_specs():
         generate(GenSpec(kind="uniform_square", n=4, seed=0, epsilon=0.1))
     with pytest.raises(ValueError, match="vertices_per_nb"):
         generate(GenSpec(kind="uniform_square", n=4, seed=0, vertices_per_nb=3))
+    with pytest.raises(ValueError, match="vertices_per_nb must be positive"):
+        generate(GenSpec(kind="random_neighborhoods", n=4, seed=0, vertices_per_nb=0))
 
 
 def test_point_file_roundtrip_is_bit_exact(tmp_path):
@@ -178,6 +180,20 @@ def test_neighborhood_file_errors():
         parse_neighborhoods("nbs \u00b2\n")
     with pytest.raises(ValueError, match="line 3: malformed polygon header"):
         parse_neighborhoods("nbs 2\nnb 1 1\npoly \u00b3\n0 0\n")
+    two = "nbs 2\nnb 1 1\npoly 1\n0 0\nnb 2 1\npoly 1\n1 0\n"
+    for text, message in [
+        ("nbs 2\nnb 1\npoly 1\n0 0\n", "line 2: malformed neighborhood header"),
+        ("nbs 2\nnb x 1\npoly 1\n0 0\n", "line 2: malformed neighborhood header"),
+        ("nbs 2\nnb 1 0\n", "line 2: neighborhood needs a polygon"),
+        ("nbs 2\nnb 1 1\npoly 2\n0 0\n", "line 3: unexpected end of file"),  # in a ring
+        ("nbs 2\nnb 1 1\npoly 1\n0 0\n", "line 4: unexpected end of file"),  # at a header
+        ("", "line 1: unexpected end of file"),
+        ("nbs 2\nnb 1 1\npoly 1\n0 0 0\n", "line 4: expected 'x y', got '0 0 0'"),
+        (two + "5 5\n", "line 8: trailing content"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            parse_neighborhoods(text)
+    assert parse_neighborhoods(two).n == 2
 
 
 def test_tree_file_roundtrip_and_errors():

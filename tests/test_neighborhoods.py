@@ -17,7 +17,7 @@ from longspan.neighborhoods import (
     stnb_params,
     stnb_region_report,
 )
-from longspan.noncrossing import build_Ta, classify_points
+from longspan.noncrossing import build_Ta, build_Tb, classify_points
 from longspan.oracles import exact_stnb
 from longspan.trees import validate_spanning_tree
 
@@ -541,7 +541,7 @@ def test_public_builders_reject_out_of_range_indices():
         for a, b in ((bad, 0), (0, bad)):
             with pytest.raises(ValueError, match=f"vertex {bad} out of range for {total} vertices"):
                 build_double_star(nbs, a, b)
-            with pytest.raises(ValueError, match=f"guess index {bad} out of range for {total} points"):
-                build_Ta(nbs.points, a, b)
-            with pytest.raises(ValueError, match=f"guess index {bad} out of range for {total} points"):
-                classify_points(nbs.points, a, b)
+            guess = f"guess index {bad} out of range for {total} points"
+            for guess_check in (build_Ta, build_Tb, classify_points):
+                with pytest.raises(ValueError, match=guess):
+                    guess_check(nbs.points, a, b)

@@ -125,6 +125,38 @@ def test_build_Tb_mirrors_Ta():
     assert ta.guess == tb.guess == (2, 5)
 
 
+def test_guess_checks_reject_coincident_guesses():
+    # _strip_split checks every guess: equal points and a == b raise in the
+    # anchored builders as in classify_points
+    pts = [(0.0, 0.0), (1.0, 0.0), (0.0, 0.0), (0.5, 0.5)]
+    for build in (build_Ta, build_Tb, classify_points):
+        for a, b in ((0, 2), (2, 0), (1, 1)):
+            with pytest.raises(ValueError, match="guess points coincide"):
+                build(pts, a, b)
+
+
+@pytest.mark.parametrize("build", [build_Ta, build_Tb, classify_points])
+def test_guess_functions_reject_non_finite_points_by_index(build):
+    with pytest.raises(ValueError, match="point 2 has a non-finite coordinate"):
+        build([(0.0, 0.0), (1.0, 0.0), (math.nan, 0.5)], 0, 1)
+
+
+def test_guess_functions_convert_raw_numpy_input():
+    np = pytest.importorskip("numpy")
+    # int64 coordinates past about 2^31.5 wrap in the crossing kernel's
+    # float filter; the builders take their points through as_points
+    rng = random.Random(23)
+    for _ in range(20):
+        k = rng.randrange(28, 41)
+        raw = np.array([(rng.randrange(2**k), rng.randrange(2**k)) for _ in range(7)])
+        pts = [(int(x), int(y)) for x, y in raw]
+        for a in range(7):
+            for b in range(7):
+                if pts[a] != pts[b]:
+                    assert build_Ta(raw, a, b) == build_Ta(pts, a, b)
+                    assert build_Tb(raw, a, b) == build_Tb(pts, a, b)
+
+
 def test_strip_split_keeps_subnormal_strip_lines_apart():
     # at |ab| = 2^-1074, omega*|ab| and (1 - omega)*|ab| round to 0 and to
     # |ab| itself, which would put b on the far strip line
@@ -165,7 +197,7 @@ def _spanning_families():
 
 @pytest.mark.parametrize("pts", [pytest.param(p, id=k) for k, p in _spanning_families()])
 def test_candidate_builders_make_spanning_trees(pts):
-    # _finish_candidate leaves the spanning check to construction: every
+    # _candidate leaves the spanning check to construction: every
     # star, every anchored tree that is built, and the monotone path on
     # collinear input must be a spanning tree, for every guess (unpruned)
     n = len(pts)

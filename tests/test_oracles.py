@@ -31,6 +31,11 @@ def test_exact_ncst_two_and_three_points():
         reverse=True,
     )
     assert tree_length(t, pts) == pytest.approx(sides[0] + sides[1], abs=1e-12)
+    with pytest.raises(ValueError, match="need at least two points"):
+        exact_ncst([(0, 0)])
+    # two equal points: every spanning tree has a zero-length edge
+    with pytest.raises(ValueError, match="no noncrossing spanning tree found"):
+        exact_ncst([(0, 0), (0, 0), (1, 0)])
 
 
 def test_exact_ncst_unit_square():

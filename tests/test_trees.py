@@ -49,6 +49,8 @@ def test_validate_spanning_tree_examples():
     assert "cycle" in validate_spanning_tree(Tree(3, ((0, 1), (1, 2), (0, 2))), pts)
     assert "self-loop" in validate_spanning_tree(Tree(3, ((1, 1), (0, 2))), pts)
     assert "out of range" in validate_spanning_tree(Tree(3, ((0, 5), (0, 1))), pts)
+    assert validate_spanning_tree(star(pts, 0), pts[:2]) == (
+        "vertex count mismatch: tree has 3, got 2 points")
 
 
 def test_is_noncrossing_examples():
@@ -205,6 +207,9 @@ def test_max_spanning_tree_through_forces_edge():
             if (min(i, j), max(i, j)) in e
         )
         assert tree_length(t, pts) == pytest.approx(best, abs=1e-12)
+    for forced in ((1, 1), (-1, 0), (0, n)):
+        with pytest.raises(ValueError, match="invalid forced edge"):
+            max_spanning_tree_through(pts, *forced)
 
 
 def test_spanning_trees_take_the_float_row_on_floats(monkeypatch):
@@ -278,6 +283,9 @@ def test_star_examples():
     assert star([(7, 7)], 0).edges == ()
     t = star([(0, 0), (1, 0), (0, 1), (1, 1)], 2)
     assert len(t.edges) == 3 and all(2 in e for e in t.edges)
+    for bad in (-1, 3):
+        with pytest.raises(ValueError, match=f"center {bad} out of range for 3 points"):
+            star(pts, bad)
 
 
 def test_best_star_examples():
