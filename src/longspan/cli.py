@@ -17,6 +17,8 @@ from .instances import (
     GenSpec,
     NeighborhoodSet,
     SplitMix64,
+    _tree_record,
+    _write_text,
     generate,
     read_neighborhoods,
     read_points,
@@ -45,6 +47,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a deterministic instance")
+    p.set_defaults(run=_cmd_gen)
     p.add_argument("--kind", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -54,6 +57,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("ncst", help=f"{DELTA_NONCROSSING}-approximate longest noncrossing "
                        "spanning tree")
+    p.set_defaults(run=_cmd_ncst)
     p.add_argument("--points", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--svg", default=None)
@@ -63,6 +67,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("stnb", help=f"{DELTA_NEIGHBORHOOD}-approximate longest spanning tree "
                        "with neighborhoods")
+    p.set_defaults(run=_cmd_stnb)
     p.add_argument("--nbs", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--svg", default=None)
@@ -70,6 +75,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--report", default=None)
 
     p = sub.add_parser("oracle", help="exact brute-force reference solver")
+    p.set_defaults(run=_cmd_oracle)
     p.add_argument("problem", choices=["ncst", "stnb"])
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
@@ -77,16 +83,19 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-assignments", type=int, default=10**6)
 
     p = sub.add_parser("check", help="validate a tree file")
+    p.set_defaults(run=_cmd_check)
     p.add_argument("--tree", required=True)
     p.add_argument("--points", default=None)
     p.add_argument("--nbs", default=None)
 
     p = sub.add_parser("ratio", help="length ratio of two tree files")
+    p.set_defaults(run=_cmd_ratio)
     p.add_argument("--approx", required=True)
     p.add_argument("--oracle", required=True)
 
     p = sub.add_parser("bench", help="benchmark suites")
-    p.add_argument("--suite", required=True, choices=["paper-constants", "ratios", "lemmas"])
+    p.set_defaults(run=_cmd_bench)
+    p.add_argument("--suite", required=True, choices=_BENCH_SUITES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
@@ -112,16 +121,8 @@ def _cmd_gen(args) -> int:
 def _write_solver_outputs(args, report: SolveReport, nbs=None) -> None:
     write_tree(args.out, report)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            payload = {
-                "format": 1,
-                "algorithm": report.algorithm,
-                "candidate": report.candidate,
-                "guess": list(report.guess) if report.guess else None,
-                "length": report.length,
-                "metrics": dict(report.metrics, upper_bound=report.upper_bound),
-            }
-            fh.write(json.dumps(payload, sort_keys=True) + "\n")
+        metrics = dict(report.metrics, upper_bound=report.upper_bound)
+        _write_text(args.report, _tree_record(report, metrics=metrics))
     if args.svg:
         regions = None
         if args.svg_regions:
@@ -150,8 +151,8 @@ def _write_solver_outputs(args, report: SolveReport, nbs=None) -> None:
                     "radii": [diam],
                     "ellipse_sums": [params.lam * diam, params.gamma * diam],
                 }
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(render_svg(report.points, report.tree.edges, nbs=nbs, regions=regions))
+        svg = render_svg(report.points, report.tree.edges, nbs=nbs, regions=regions)
+        _write_text(args.svg, svg)
 
 
 def _cmd_ncst(args) -> int:
@@ -194,6 +195,9 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+_POINT_SET_TREES = ("ncst", "oracle-ncst")  # trees over the instance's own points
+
+
 def _match_representatives(report: SolveReport, nbs: NeighborhoodSet) -> bool:
     # each tree point must be a vertex of a distinct neighborhood: a perfect
     # point -> color matching, grown by augmenting paths (Kuhn's algorithm),
@@ -231,11 +235,11 @@ def _cmd_check(args) -> int:
     if violation:
         problems.append(violation)
     recomputed = tree_length(report.tree, report.points)
-    if abs(recomputed - report.length) > 1e-9 * max(1.0, abs(recomputed)):
+    if abs(recomputed - report.length) > 1e-9 * abs(recomputed):
         problems.append(
             f"stored length {report.length} != recomputed {recomputed}"
         )
-    if report.algorithm in ("ncst", "oracle-ncst") and not problems:
+    if report.algorithm in _POINT_SET_TREES and not problems:
         ok, pair = is_noncrossing(report.tree, report.points)
         if not ok:
             problems.append(f"crossing edges {pair[0]} and {pair[1]}")
@@ -260,11 +264,14 @@ def _cmd_ratio(args) -> int:
     oracle = read_tree(args.oracle)
     if oracle.length <= 0:
         raise ValueError("oracle tree has nonpositive length")
-    print(f"{approx.length / oracle.length:.6f}")
+    # a neighborhood tree file carries no colors, so only its size is compared
+    if oracle.algorithm in _POINT_SET_TREES and approx.points != oracle.points:
+        raise ValueError("solution does not match instance")
+    print(f"{oracle_ratio(oracle.points, approx, oracle.length).ratio:.6f}")
     return 0
 
 
-def _bench_paper_constants() -> dict:
+def _bench_paper_constants(_seed: int) -> dict:
     report = constants.identity_suite()
     d = ncst_params(1.0).d
     return {
@@ -323,34 +330,22 @@ def _bench_lemmas(seed: int) -> dict:
     return results
 
 
+_BENCH_SUITES = {"paper-constants": _bench_paper_constants, "ratios": _bench_ratios,
+                 "lemmas": _bench_lemmas}
+
+
 def _cmd_bench(args) -> int:
-    if args.suite == "paper-constants":
-        payload = _bench_paper_constants()
-    elif args.suite == "ratios":
-        payload = _bench_ratios(args.seed)
-    else:
-        payload = _bench_lemmas(args.seed)
-    body = json.dumps({"suite": args.suite, "seed": args.seed, "results": payload},
-                      sort_keys=True, indent=2) + "\n"
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(body)
+    payload = _BENCH_SUITES[args.suite](args.seed)
+    body = {"suite": args.suite, "seed": args.seed, "results": payload}
+    _write_text(args.out, json.dumps(body, sort_keys=True, indent=2) + "\n")
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "gen": _cmd_gen,
-        "ncst": _cmd_ncst,
-        "stnb": _cmd_stnb,
-        "oracle": _cmd_oracle,
-        "check": _cmd_check,
-        "ratio": _cmd_ratio,
-        "bench": _cmd_bench,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -70,13 +70,12 @@ def f1(ab_len: float) -> float:
 @dataclass(frozen=True)
 class ConstantsReport:
     """Numeric backbone for acceptance checks: the edge-cap constants,
-    samples of f1/f2 over the admissible guess range, the residuals of the
+    samples of f1 over the admissible guess range, the residuals of the
     parameter identities (all must vanish to 1e-9), and the strictly
     positive star-ratio floor margin 0.5/0.963 - 0.519."""
 
     lf_len: float
     f1_at: tuple[tuple[float, float], ...]
-    f2_at: tuple[tuple[float, float], ...]
     identity_residuals: tuple[tuple[str, float], ...]
     ratio_floor_margin: float
 
@@ -94,7 +93,6 @@ def identity_suite() -> ConstantsReport:
     d = pd.d
     abs_worst = 0.0
     f1_samples = []
-    f2_samples = []
     for k in range(50):
         ab = d + (1.0 - d) * k / 49
         params = ncst_params(min(ab, 1.0))
@@ -102,12 +100,10 @@ def identity_suite() -> ConstantsReport:
         if abs(res) > abs(abs_worst):
             abs_worst = res
         f1_samples.append((ab, f1(ab)))
-        f2_samples.append((ab, f2(ab)))
 
     return ConstantsReport(
         lf_len=lf_length(),
         f1_at=tuple(f1_samples),
-        f2_at=tuple(f2_samples),
         identity_residuals=(
             ("steiner_omega_identity", steiner_res),
             ("alpha_beta_identity", alpha_beta_res),

@@ -140,7 +140,17 @@ def generate(spec: GenSpec) -> list[Point] | NeighborhoodSet:
 
 
 # ---------------------------------------------------------------------------
-# point files: one "x y" per line, '#' comments, UTF-8
+# point files: one "x y" per line, '#' comments; every file is UTF-8
+
+
+def _read_text(path) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _write_text(path, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _parse_float(tok: str, lineno: int) -> float:
@@ -160,28 +170,28 @@ def _content_lines(text: str):
             yield lineno, line
 
 
+def _parse_point(lineno: int, line: str) -> Point:
+    # an "x y" line, of a points file or of a neighborhood ring
+    toks = line.split()
+    if len(toks) != 2:
+        raise ValueError(f"line {lineno}: expected 'x y', got {line!r}")
+    return Point(_parse_float(toks[0], lineno), _parse_float(toks[1], lineno))
+
+
 def format_points(points: Sequence[Sequence[float]]) -> str:
     return "".join(f"{repr(float(p[0]))} {repr(float(p[1]))}\n" for p in points)
 
 
 def parse_points(text: str) -> list[Point]:
-    pts = []
-    for lineno, line in _content_lines(text):
-        toks = line.split()
-        if len(toks) != 2:
-            raise ValueError(f"line {lineno}: expected 'x y', got {line!r}")
-        pts.append(Point(_parse_float(toks[0], lineno), _parse_float(toks[1], lineno)))
-    return pts
+    return [_parse_point(lineno, line) for lineno, line in _content_lines(text)]
 
 
 def write_points(path, points: Sequence[Sequence[float]]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_points(points))
+    _write_text(path, format_points(points))
 
 
 def read_points(path) -> list[Point]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_points(fh.read())
+    return parse_points(_read_text(path))
 
 
 # ---------------------------------------------------------------------------
@@ -196,35 +206,32 @@ def format_neighborhoods(nbs: NeighborhoodSet) -> str:
     for nb in nbs.neighborhoods:
         out.append(f"nb {nb.color} {len(nb.polygons)}\n")
         for ring in nb.polygons:
-            out.append(f"poly {len(ring)}\n")
-            for p in ring:
-                out.append(f"{repr(float(p.x))} {repr(float(p.y))}\n")
+            out.append(f"poly {len(ring)}\n" + format_points(ring))
     return "".join(out)
 
 
 def parse_neighborhoods(text: str) -> NeighborhoodSet:
     lines = list(_content_lines(text))
-    pos = 0
+    rest = iter(lines)
 
-    def take(expect: str) -> tuple[int, list[str]]:
-        nonlocal pos
-        if pos >= len(lines):
-            raise ValueError(f"line {lines[-1][0] if lines else 1}: unexpected end of file")
-        lineno, line = lines[pos]
-        pos += 1
-        toks = line.split()
-        if toks[0] != expect:
+    def take(expect: str, eof_line: int = lines[-1][0] if lines else 1) -> tuple[int, str]:
+        # the next line, which starts with expect if one is given
+        lineno, line = next(rest, (None, None))
+        if line is None:
+            raise ValueError(f"line {eof_line}: unexpected end of file")
+        if expect and line.split()[0] != expect:
             raise ValueError(f"line {lineno}: expected {expect!r}, got {line!r}")
-        return lineno, toks
+        return lineno, line
 
-    lineno, toks = take("nbs")
+    lineno, line = take("nbs")
+    toks = line.split()
     if len(toks) != 2 or not toks[1].isdecimal():
         raise ValueError(f"line {lineno}: malformed header")
-    n = int(toks[1])
     seen_colors = set()
     nbs = []
-    for _ in range(n):
-        lineno, toks = take("nb")
+    for _ in range(int(toks[1])):
+        lineno, line = take("nb")
+        toks = line.split()
         if len(toks) != 3:
             raise ValueError(f"line {lineno}: malformed neighborhood header")
         try:
@@ -238,56 +245,48 @@ def parse_neighborhoods(text: str) -> NeighborhoodSet:
             raise ValueError(f"line {lineno}: neighborhood needs a polygon")
         polys = []
         for _ in range(npoly):
-            lineno, toks = take("poly")
+            lineno, line = take("poly")
+            toks = line.split()
             if len(toks) != 2 or not toks[1].isdecimal() or int(toks[1]) < 1:
                 raise ValueError(f"line {lineno}: malformed polygon header")
-            k = int(toks[1])
-            ring = []
-            for _ in range(k):
-                if pos >= len(lines):
-                    raise ValueError(f"line {lineno}: unexpected end of file")
-                pl, pline = lines[pos]
-                pos += 1
-                ptoks = pline.split()
-                if len(ptoks) != 2:
-                    raise ValueError(f"line {pl}: expected 'x y', got {pline!r}")
-                ring.append(
-                    Point(_parse_float(ptoks[0], pl), _parse_float(ptoks[1], pl))
-                )
-            polys.append(tuple(ring))
+            # a ring that the end of the file cuts short names its poly line
+            polys.append(tuple(_parse_point(*take("", lineno)) for _ in range(int(toks[1]))))
         nbs.append(Neighborhood(color, tuple(polys)))
-    if pos != len(lines):
-        raise ValueError(f"line {lines[pos][0]}: trailing content")
+    for lineno, _ in rest:
+        raise ValueError(f"line {lineno}: trailing content")
     return NeighborhoodSet(nbs)
 
 
 def write_neighborhoods(path, nbs: NeighborhoodSet) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_neighborhoods(nbs))
+    _write_text(path, format_neighborhoods(nbs))
 
 
 def read_neighborhoods(path) -> NeighborhoodSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_neighborhoods(fh.read())
+    return parse_neighborhoods(_read_text(path))
 
 
 # ---------------------------------------------------------------------------
 # tree files: JSON, schema version 1
 
 
-def format_tree(report: SolveReport) -> str:
+def _tree_record(report: SolveReport, **fields) -> str:
+    # the header that tree files and the CLI's --report share, plus fields
     payload = {
         "format": 1,
         "algorithm": report.algorithm,
         "candidate": report.candidate,
         "guess": list(report.guess) if report.guess is not None else None,
-        "points": [[float(p[0]), float(p[1])] for p in report.points],
-        "edges": [[i, j] for i, j in report.tree.edges],
         "length": report.length,
+        **fields,
     }
-    if report.metrics:
-        payload["metrics"] = report.metrics
     return json.dumps(payload, sort_keys=True) + "\n"
+
+
+def format_tree(report: SolveReport) -> str:
+    points = [[float(p[0]), float(p[1])] for p in report.points]
+    edges = [[i, j] for i, j in report.tree.edges]
+    metrics = {"metrics": report.metrics} if report.metrics else {}
+    return _tree_record(report, points=points, edges=edges, **metrics)
 
 
 def parse_tree(text: str) -> SolveReport:
@@ -342,10 +341,8 @@ def _int_pair(value, what: str) -> tuple[int, int]:
 
 
 def write_tree(path, report: SolveReport) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_tree(report))
+    _write_text(path, format_tree(report))
 
 
 def read_tree(path) -> SolveReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_tree(fh.read())
+    return parse_tree(_read_text(path))

@@ -19,7 +19,7 @@ class _Canvas:
         # the longer side, with an 8% margin at each end, spans 640 pixels
         xmin, xmax = min(xs), max(xs)
         ymin, ymax = min(ys), max(ys)
-        span = max(xmax - xmin, ymax - ymin, 1e-9)
+        span = max(xmax - xmin, ymax - ymin) or 1.0  # 1.0 if all points coincide
         margin = 0.08 * span
         self.xmin, self.ymin = xmin - margin, ymin - margin
         self.scale = 640 / (span + 2 * margin)
@@ -58,7 +58,7 @@ def render_svg(
         ys += [p.y for p in nbs.points]
     if regions is not None:
         a, b = regions["a"], regions["b"]
-        reach = max(list(regions.get("radii", ())) + [1.0])
+        reach = max(regions.get("radii", ()), default=0.0)
         xs += [a[0] - reach, a[0] + reach, b[0] - reach, b[0] + reach]
         ys += [a[1] - reach, a[1] + reach, b[1] - reach, b[1] + reach]
     cv = _Canvas(xs, ys)

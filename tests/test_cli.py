@@ -7,7 +7,8 @@ import pytest
 from longspan.cli import main
 from longspan.geometry import Point
 from longspan.instances import (
-    format_tree, read_neighborhoods, read_points, read_tree, write_neighborhoods, write_tree,
+    GenSpec, format_tree, generate, read_neighborhoods, read_points, read_tree,
+    write_neighborhoods, write_points, write_tree,
 )
 from longspan.neighborhoods import Neighborhood, NeighborhoodSet
 from longspan.noncrossing import solve_ncst
@@ -70,6 +71,12 @@ def test_full_ncst_pipeline_with_oracle_and_ratio(tmp_path, capsys):
     ratio = float(line)
     assert len(line.split(".")[1]) == 6
     assert 0.519 <= ratio <= 1.0 + 1e-9
+    # an oracle tree of another instance: fewer points, or other points
+    for argv in (("--n", "5", "--seed", "11"), ("--n", "6", "--seed", "12")):
+        assert run("gen", "--kind", "uniform_square", *argv, "--out", str(pts)) == 0
+        assert run("oracle", "ncst", "--in", str(pts), "--out", str(oracle)) == 0
+        assert run("ratio", "--approx", str(tree), "--oracle", str(oracle)) == 2
+        assert "solution does not match instance" in capsys.readouterr().err
     body = svg.read_text(encoding="utf-8")
     assert body.startswith("<svg") and "<ellipse" in body
     metrics = json.loads(report.read_text(encoding="utf-8"))
@@ -91,7 +98,7 @@ def test_ncst_no_prune_writes_the_unpruned_report(tmp_path):
     assert a["guesses_tried"] != b["guesses_tried"]
 
 
-def test_full_stnb_pipeline(tmp_path):
+def test_full_stnb_pipeline(tmp_path, capsys):
     nbs = tmp_path / "n.nbs"
     tree = tmp_path / "t.json"
     oracle = tmp_path / "o.json"
@@ -102,6 +109,35 @@ def test_full_stnb_pipeline(tmp_path):
     assert run("oracle", "stnb", "--in", str(nbs), "--out", str(oracle)) == 0
     assert run("check", "--tree", str(tree), "--nbs", str(nbs)) == 0
     assert run("check", "--tree", str(oracle), "--nbs", str(nbs)) == 0
+    capsys.readouterr()
+    assert run("ratio", "--approx", str(tree), "--oracle", str(oracle)) == 0
+    assert 0.524 <= float(capsys.readouterr().out) <= 1.0 + 1e-9
+
+
+def _scaled(points, s):
+    return tuple(Point(p.x * s, p.y * s) for p in points)
+
+
+def test_svg_does_not_depend_on_the_input_scale(tmp_path):
+    # scaling by a power of two is exact, so every drawn coordinate scales back
+    src, svg = tmp_path / "in", tmp_path / "t.svg"
+    for spec in (GenSpec("uniform_square", 9, 1), GenSpec("two_cluster", 8, 1, epsilon=0.001),
+                 GenSpec("random_neighborhoods", 6, 1, vertices_per_nb=3)):
+        inst = generate(spec)
+        drawings = set()
+        for s in (1.0, 2.0 ** -40, 2.0 ** -10, 2.0 ** 10):
+            if isinstance(inst, NeighborhoodSet):
+                write_neighborhoods(src, NeighborhoodSet([
+                    Neighborhood(nb.color, tuple(_scaled(ring, s) for ring in nb.polygons))
+                    for nb in inst.neighborhoods]))
+                argv = ("stnb", "--nbs", str(src))
+            else:
+                write_points(src, _scaled(inst, s))
+                argv = ("ncst", "--points", str(src))
+            assert run(*argv, "--out", str(tmp_path / "t.json"), "--svg", str(svg),
+                       "--svg-regions") == 0
+            drawings.add(svg.read_bytes())
+        assert len(drawings) == 1, spec
 
 
 def test_oracle_guard_exit_code(tmp_path, capsys):
@@ -138,6 +174,16 @@ def test_check_rejects_corrupted_tree(tmp_path, capsys):
     other.write_text("0 0\n1 0\n0 1\n1 1\n2 2\n", encoding="utf-8")
     assert run("check", "--tree", str(tree), "--points", str(other)) == 2
     assert "tree points do not match the points file" in capsys.readouterr().out
+    # a stored length far off a tiny tree's own: the tolerance is relative
+    write_points(pts, _scaled(generate(GenSpec("uniform_square", 7, 1)), 2.0 ** -40))
+    assert run("ncst", "--points", str(pts), "--out", str(tree)) == 0
+    report = read_tree(tree)
+    assert 3e-12 < report.length < 4e-12
+    for stored in (0.0, 5e-10):
+        report.length = stored
+        write_tree(tree, report)
+        assert run("check", "--tree", str(tree), "--points", str(pts)) == 2
+        assert "FAIL: stored length" in capsys.readouterr().out
 
 
 def test_malformed_tree_file_exits_2(tmp_path, capsys):

@@ -32,16 +32,16 @@ GOLDEN = {
     "lemmas-1.json": "3de01a12fa1dcb1666420d5a274562068b6eaaab2f2154a4ea41021cda724b54",
     "n1.nbs": "4fd3be634fe6d7c8d50034b3190bde0c350c60f4d35813a55123460ef5647bb0",
     "n1.report": "67e5b26fa508d219e1b03e81d56e580e6e9d854a1c618ff1eb9b0d9b8b2bbceb",
-    "n1.svg": "7152c7e332c7aa3543a56d2288a755f94e78e37fb6b0d7ea086de2354bb40927",
+    "n1.svg": "be92ff1cdb6f9b297d733f3bdc1874db19bc684337b0b0b9c1f94d325b10e943",
     "n1.tree": "2fda176ab29c565e957d0401a235dc465666a8c50bd60dbc1acd133d8923e161",
     "ratios.json": "b859d1716395196f9c573b85b59a8685adf64b83bc0d21b0b1c0e15e99b5e3b7",
     "u1.pts": "fd198c18d2ffb2efe4f4d66fed00c922be990e807997690aedec8959bb52036f",
     "u1.report": "2c8a64c74ce81095458cc9c9458b1a6b1f47921eee1be516fcd1089fc0de3722",
-    "u1.svg": "ac086380394a96497c1c49d2f6690ef4428415cce7b805d00c2597c707334802",
+    "u1.svg": "015c2d6d5e5600f89a7e1fcd3501f0c417086bd8b1e82ae48d27c736e61f0ec7",
     "u1.tree": "2f82730c325b210a31f7c32f4cde2aa4ceec9c79bc7d97b224e133295eb344d1",
     "u2.pts": "b69aab255fdbe1abcac2438bad83a51bfab430b9b3497b518f1b8b04ab12d1cc",
     "u2.report": "898ca1a14d886c57ab2df8a90b2923f606db5e62b5322704932fd7b9954c000a",
-    "u2.svg": "51dc7fa22b0aaafc3c1af8d9cb44841ff72714e84ca837ee059ff58b0bc0c092",
+    "u2.svg": "ceacf4172126d2753c341c855445eab70c1f8a0728588a6eb131d82ea14873c7",
     "u2.tree": "7e00ac3a1feb3fc850cc257340b2d3d275627834914f8e2553ebb4abcfdc302c",
 }
 
