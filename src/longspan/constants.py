@@ -3,8 +3,8 @@
 The ratio analyses bound the longest possible tree edge in specific regions
 by explicit radicals; this module evaluates those radicals and the algebraic
 identities that tie the chosen parameters to the ratios 0.524 and 0.519,
-and samples the triple-connection bound both ratios rest on.  Transcribed
-verbatim from the derivations and unit-tested against their decimal values.
+and samples the triple-connection bound both ratios rest on.  f1 is in closed
+form; the derivation's radical it replaces is the tests' f1_reference.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Iterator
 from .geometry import dist
 from .instances import SplitMix64
 from .neighborhoods import DELTA_NEIGHBORHOOD, stnb_label, stnb_params
-from .noncrossing import DELTA_NONCROSSING, _strip_split, ncst_label, ncst_params
+from .noncrossing import DELTA_NONCROSSING, NcstParams, _strip_split, ncst_label, ncst_params
 
 
 def lf_length() -> float:
@@ -34,80 +34,62 @@ def lf_length() -> float:
     return math.sqrt(t1 * t1 + t2 * t2)
 
 
-def _check_ab(ab_len: float, d: float) -> None:
-    if not d - 1e-9 <= ab_len <= 1.0 + 1e-9:
-        raise ValueError(f"ab_len {ab_len} outside [{d}, 1]")
+def _guess_params(ab_len: float) -> NcstParams:
+    # the 0.519 parameters of a guess length in the admissible range [d, 1]
+    params = ncst_params(min(ab_len, 1.0))
+    if not params.d - 1e-9 <= ab_len <= 1.0 + 1e-9:
+        raise ValueError(f"ab_len {ab_len} outside [{params.d}, 1]")
+    return params
 
 
 def f2(ab_len: float) -> float:
     """Longest edge leaving the middle region from the strip-line foot on
     the axis, as a function of the guess length (diameter-scaled)."""
-    params = ncst_params(min(ab_len, 1.0))
-    _check_ab(ab_len, params.d)
+    params = _guess_params(ab_len)
     u = (1.0 + ab_len * ab_len - (params.lam - 1.0) ** 2) / (2.0 * ab_len)
     return math.sqrt((u - params.omega * ab_len) ** 2 + 1.0 - u * u)
 
 
-def _c1b(ab_len: float) -> float:
-    params = ncst_params(min(ab_len, 1.0))
-    g = params.gamma
-    return math.sqrt(
-        (1.0 - params.omega) ** 2 * ab_len * ab_len
-        + ((g * g - ab_len * ab_len) / (g * g))
-        * ((g / 2.0) ** 2 - (ab_len / 2.0 - params.omega * ab_len) ** 2)
-    )
-
-
 def f1(ab_len: float) -> float:
     """Cap on edges leaving the middle region from the top of the inner
-    ellipse; maximized at ab_len = d, where it is about 0.913117 < 0.914."""
-    params = ncst_params(min(ab_len, 1.0))
-    _check_ab(ab_len, params.d)
-    c1b = _c1b(ab_len)
-    return c1b + (1.0 - ab_len) * c1b / ((1.0 - params.omega) * ab_len)
+    ellipse: the affine c * (ab_len + (1 - ab_len) / (1 - omega)).
+
+    gamma = k * ab_len, k = (2 delta + alpha_hat - 1) / alpha_hat, makes the
+    derivation's radical there c * ab_len, c being the square root below.
+    The slope -c * omega / (1 - omega) is negative, so the maximum on [d, 1]
+    is f1(d), about 0.913117 < 0.914.
+    """
+    p = _guess_params(ab_len)
+    k = (2.0 * p.delta + p.alpha_hat - 1.0) / p.alpha_hat
+    c = math.sqrt((1.0 - p.omega) ** 2 + (1.0 - 1.0 / k**2) * (k**2 / 4.0 - (0.5 - p.omega) ** 2))
+    return c * (ab_len + (1.0 - ab_len) / (1.0 - p.omega))
 
 
 @dataclass(frozen=True)
 class ConstantsReport:
-    """Numeric backbone for acceptance checks: the edge-cap constants,
-    samples of f1 over the admissible guess range, the residuals of the
-    parameter identities (all must vanish to 1e-9), and the strictly
-    positive star-ratio floor margin 0.5/0.963 - 0.519."""
+    """Numeric backbone for acceptance checks: the edge cap |lf|, the
+    residuals of the parameter identities (all must vanish to 1e-9), and
+    the strictly positive star-ratio floor margin 0.5/0.963 - 0.519."""
 
     lf_len: float
-    f1_at: tuple[tuple[float, float], ...]
     identity_residuals: tuple[tuple[str, float], ...]
     ratio_floor_margin: float
 
 
 def identity_suite() -> ConstantsReport:
-    """Evaluate every closed-form identity the two analyses rest on."""
-    p3 = stnb_params()
-    steiner_res = (math.sqrt(3.0) / 2.0) * (p3.omega + 1.0) - 3.0 * DELTA_NEIGHBORHOOD
-
-    pd = ncst_params(1.0)
-    alpha_beta_res = (
-        2.0 - 3.0 * pd.omega + (pd.omega - 1.0) * (pd.alpha_hat + pd.beta_hat)
-    ) / 2.0 - pd.delta
-
-    d = pd.d
-    abs_worst = 0.0
-    f1_samples = []
-    for k in range(50):
-        ab = d + (1.0 - d) * k / 49
-        params = ncst_params(min(ab, 1.0))
-        res = (ab + params.alpha_hat * (params.gamma - ab)) / (2.0 * ab) - params.delta
-        if abs(res) > abs(abs_worst):
-            abs_worst = res
-        f1_samples.append((ab, f1(ab)))
-
+    """Evaluate every closed-form identity the two analyses rest on.  The
+    alpha identity (|ab| + alpha_hat (gamma - |ab|)) / (2 |ab|) = delta
+    does not depend on |ab|, since gamma is proportional to it, so it is
+    evaluated once, at |ab| = 1."""
+    p3, pd = stnb_params(), ncst_params(1.0)
+    steiner = (math.sqrt(3.0) / 2.0) * (p3.omega + 1.0) - 3.0 * DELTA_NEIGHBORHOOD
+    alpha_beta = (2.0 - 3.0 * pd.omega + (pd.omega - 1.0) * (pd.alpha_hat + pd.beta_hat)) / 2.0
     return ConstantsReport(
         lf_len=lf_length(),
-        f1_at=tuple(f1_samples),
         identity_residuals=(
-            ("steiner_omega_identity", steiner_res),
-            ("alpha_beta_identity", alpha_beta_res),
-            ("alpha_identity_worst", abs_worst),
+            ("steiner_omega_identity", steiner),
+            ("alpha_beta_identity", alpha_beta - pd.delta),
+            ("alpha_identity", (1.0 + pd.alpha_hat * (pd.gamma - 1.0)) / 2.0 - pd.delta),
         ),
         ratio_floor_margin=0.5 / 0.963 - DELTA_NONCROSSING,
     )

@@ -10,7 +10,7 @@ import math
 import operator
 import sys
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from numbers import Integral, Rational, Real
 from typing import Iterable, NamedTuple, Sequence
 
@@ -86,6 +86,11 @@ def _scalar(c: float) -> float:
 def dist(p: Sequence[float], q: Sequence[float]) -> float:
     """Euclidean distance between two points."""
     return math.hypot(p[0] - q[0], p[1] - q[1])
+
+
+def _floats(points: Iterable[Sequence[float]]) -> bool:
+    # whether every coordinate is a Python float: _dist_row's math.dist path
+    return set(map(type, chain.from_iterable(points))) == {float}
 
 
 def _dist_row(
@@ -291,9 +296,8 @@ def _farthest_pair(
     # sweeps, by index, so that a caller needing those rows does not build
     # them again.  The points are as_points output or a NeighborhoodSet's,
     # so their coordinates are finite Python scalars with exact differences.
-    # floats is whether every coordinate is a Python float (see _dist_row):
-    # a set passes the verdict it holds, and point lists leave the scan to
-    # read it off the coordinate columns.
+    # floats is whether every coordinate is a Python float (see _floats);
+    # a set passes the verdict it holds, and a point list leaves it None.
     # Only points that can end such a pair enter the quadratic scan.  For
     # r_k = |p_k g| and R = max r_k, the triangle inequality gives
     # |p_i p_j| <= r_i + R, so a pair whose dist reaches the dist L of some
@@ -311,8 +315,7 @@ def _farthest_pair(
     if not points:
         return None, -1.0, sweeps
     xs, ys = zip(*points)
-    if floats is None:
-        floats = set(map(type, xs + ys)) == {float}
+    floats = _floats(points) if floats is None else floats
     x0, x1, y0, y1 = (0.5 * v for v in _bounding_box(xs, ys))
     gx, gy = x0 + x1, y0 + y1
     mxy = max(abs(x0), abs(x1)) + max(abs(y0), abs(y1))  # (Mx + My) / 2

@@ -8,11 +8,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import chain
-from operator import add, ge, itemgetter
+from operator import add, ge, index, itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .geometry import Point, _check_length_bound, _dist_row, _farthest_pair, as_points
+from .geometry import Point, _check_length_bound, _dist_row, _farthest_pair, _floats, as_points
 from .report import SolveReport
 from .trees import Tree, tree_length
 
@@ -24,13 +23,18 @@ class Neighborhood:
     Single-vertex rings model point neighborhoods.  Only boundary vertices
     matter to the solvers: a farthest point inside a polygon is always
     attained at a vertex.  A NaN or infinite vertex coordinate raises
-    ValueError naming the color and the vertex's index in its ring.
+    ValueError naming the color and the vertex's index in its ring, and so
+    does a color that is not an int (numpy's integers become Python ints).
     """
 
     color: int
     polygons: tuple[tuple[Point, ...], ...]
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "color", index(self.color))
+        except TypeError:
+            raise ValueError(f"neighborhood color {self.color!r} is not an int") from None
         try:
             polys = tuple(tuple(as_points(ring)) for ring in self.polygons)
         except ValueError as err:
@@ -71,7 +75,7 @@ class NeighborhoodSet:
             self.ranges.append(range(start, len(self.points)))
         # Neighborhood converts each ring alone; across rings, as_points
         # makes every float a Fraction when an int or Fraction needs it
-        self.floats = set(map(type, chain.from_iterable(self.points))) == {float}
+        self.floats = _floats(self.points)
         if not self.floats:
             self.points = as_points(self.points)
 
@@ -213,7 +217,7 @@ def farthest_vertex_in(nbs: NeighborhoodSet, color: int, origin: Sequence[float]
     except ValueError as err:  # as_points calls the origin point 0
         raise ValueError(str(err).replace("point 0", "origin", 1)) from None
     part = nbs.points[r.start:r.stop]
-    row = _dist_row(part, origin, set(map(type, chain(*part, origin))) == {float})
+    row = _dist_row(part, origin, _floats([*part, origin]))
     return r.start + row.index(max(row))
 
 

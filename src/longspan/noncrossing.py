@@ -19,7 +19,8 @@ from itertools import chain
 from typing import Callable, NamedTuple, Sequence
 
 from .geometry import (
-    _check_length_bound, _dist_row, _farthest_pair, _first_crossing, as_points, dist, orientation,
+    _check_length_bound, _dist_row, _farthest_pair, _first_crossing, _floats, as_points, dist,
+    orientation,
 )
 from .report import SolveReport
 from .trees import Tree, _crossing_scan, _shared_segments, is_noncrossing, star
@@ -306,7 +307,7 @@ def solve_ncst(points: Sequence[Sequence[float]], prune: bool = True) -> SolveRe
     if n < 2:
         raise ValueError("need at least two points")
     pts = as_points(points)
-    floats = set(map(type, chain.from_iterable(pts))) == {float}
+    floats = _floats(pts)
     (iu, iv), diam, _ = _farthest_pair(pts, range(n), floats)
     if diam == 0.0:
         raise ValueError("all points coincide")

@@ -7,11 +7,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain
 from operator import neg
 from typing import Callable, Sequence
 
-from .geometry import Point, _dist_row, _first_crossing, _segment, as_points, dist
+from .geometry import Point, _dist_row, _first_crossing, _floats, _segment, as_points, dist
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,7 +159,7 @@ def _max_tree(
     n = len(points)
     if n == 0:
         raise ValueError("empty point set")
-    floats = set(map(type, chain.from_iterable(points))) == {float}
+    floats = _floats(points)
 
     def row(i: int) -> list[float]:
         # one row per pick keeps memory O(n); the row is dist's for any
@@ -244,7 +243,7 @@ def fermat_point(
     2abc / (2 * area + sqrt(3) * dot), where dot is the inner product of the
     two sides at that vertex; 2abc is common to all three and drops out.
     """
-    pts = [Point(a[0], a[1]), Point(b[0], b[1]), Point(c[0], c[1])]
+    pts = as_points((a, b, c))
     # collapsed triples: answer is the distance between the distinct pair
     for v in range(3):
         u, w = (v + 1) % 3, (v + 2) % 3

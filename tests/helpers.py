@@ -5,6 +5,8 @@ Prüfer decoding, crossing-free optima from filtered full enumeration, and
 Fermat points from a grid search with local refinement.  The one exception,
 solve_ncst_reference, composes solve_ncst from its public builders, so that
 any work solve_ncst shares between candidates must leave its report as is.
+f1_reference is the 0.519 derivation's nested radical, which constants.f1
+replaces by its closed form; both read their parameters from ncst_params.
 """
 
 from __future__ import annotations
@@ -293,3 +295,19 @@ def solve_ncst_reference(pts, prune: bool = True) -> dict:
         metrics["center"] = center
     return {"candidate": tag, "guess": guess, "edges": tree.edges, "length": length,
             "metrics": metrics, "guesses": guesses}
+
+
+def f1_reference(ab_len: float) -> float:
+    """The middle-region edge cap f1 as the 0.519 derivation writes it: the
+    nested radical c1b at the top of the inner ellipse E2, whose focal sum
+    is gamma, plus (1 - |ab|) c1b / ((1 - omega) |ab|)."""
+    from longspan import ncst_params
+
+    params = ncst_params(min(ab_len, 1.0))
+    g = params.gamma
+    c1b = math.sqrt(
+        (1.0 - params.omega) ** 2 * ab_len * ab_len
+        + ((g * g - ab_len * ab_len) / (g * g))
+        * ((g / 2.0) ** 2 - (ab_len / 2.0 - params.omega * ab_len) ** 2)
+    )
+    return c1b + (1.0 - ab_len) * c1b / ((1.0 - params.omega) * ab_len)

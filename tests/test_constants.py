@@ -1,9 +1,13 @@
+from fractions import Fraction
+
 import pytest
 
 from longspan.constants import f1, f2, identity_suite, lf_length, triple_samples
 from longspan.geometry import dist
 from longspan.instances import SplitMix64
 from longspan.noncrossing import ncst_params
+
+from helpers import f1_reference
 
 D = 1.0 / (2.0 * 0.519)
 
@@ -35,6 +39,36 @@ def test_f1_dominates_f2_and_peaks_at_d():
     assert max(range(100), key=lambda k: f1_vals[k]) == 0  # maximum at ab = d
 
 
+def test_f1_closed_form_matches_the_derivation():
+    for k in range(1001):
+        ab = D + (1.0 - D) * k / 1000
+        assert abs(f1(ab) - f1_reference(ab)) <= 1e-15, ab
+
+
+def test_f1_cap_and_identities_hold_in_exact_rationals():
+    delta, omega, beta_hat = Fraction(519, 1000), Fraction(4, 25), Fraction(11, 25)
+    p = ncst_params(1.0)
+    assert (p.delta, p.omega, p.beta_hat) == (float(delta), float(omega), float(beta_hat))
+    alpha_hat = (2 * delta + 3 * omega - 2) / (omega - 1) - beta_hat
+    k = (2 * delta + alpha_hat - 1) / alpha_hat  # gamma = k * |ab|
+    c2 = (1 - omega) ** 2 + (1 - 1 / k**2) * (k**2 / 4 - (Fraction(1, 2) - omega) ** 2)
+    assert c2 > 0
+    assert -omega / (1 - omega) < 0  # f1's slope over c > 0: f1 is largest at d
+    d = 1 / (2 * delta)
+    f1d_squared = c2 * (d + (1 - d) / (1 - omega)) ** 2
+    assert f1d_squared < Fraction(914, 1000) ** 2
+    assert abs(float(f1d_squared) - f1(D) ** 2) < 1e-15
+    assert (2 - 3 * omega + (omega - 1) * (alpha_hat + beta_hat)) / 2 == delta
+    for ab in (d, (d + 1) / 2, Fraction(1)):
+        g = k * ab
+        # the derivation's radicand at the top of E2 is (c * |ab|)^2
+        radicand = (1 - omega) ** 2 * ab**2 + (g**2 - ab**2) / g**2 * (
+            (g / 2) ** 2 - (ab / 2 - omega * ab) ** 2
+        )
+        assert radicand == c2 * ab**2
+        assert (ab + alpha_hat * (g - ab)) / (2 * ab) == delta
+
+
 def test_identity_suite_residuals_vanish():
     report = identity_suite()
     assert report.lf_len < 0.95
@@ -42,8 +76,6 @@ def test_identity_suite_residuals_vanish():
         assert abs(residual) < 1e-9, name
     assert report.ratio_floor_margin > 0
     assert 0.5 / 0.963 == pytest.approx(0.51921, abs=1e-5)
-    assert len(report.f1_at) == 50
-    assert all(v < 0.914 for _, v in report.f1_at)
 
 
 def test_middle_region_edges_stay_below_f1_monte_carlo():

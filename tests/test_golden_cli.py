@@ -23,7 +23,7 @@ GOLDEN = {
     "c.report": "009be151a2760ad3b2f9ea713f3a03f286b06db0103f4ff59b6fb5d047e04112",
     "c.svg": "9c492d827f612c93b470ae44331cf0a900ec2caf9ad4afdf7eb7f2067a41da6c",
     "c.tree": "f1d7cc50b363d1349a9f509adf270959e608bdf3acc66389a1d19eca1b9cc73b",
-    "constants.json": "eb2ac105655b8ef11a58de1236b3c2f9f9104bb605589a2b24cd5aa3f672ff65",
+    "constants.json": "e37a2d40fa187e8fe7803ccf6af1bc2632bfb077254abc4c088a6feed961965b",
     "dc.nbs": "c067ae1da66816b13540680ca76d73a15df327788dec933af490c2e3378446da",
     "dc.report": "78ef322b1e47a2b79fb4e9e07b454ba9537d62d219d867befa7e89e37414fa76",
     "dc.svg": "c3bbe075eef8c55e544fa64a630f18a21a1879d3b4c31168fe527bcd6ba852d8",

@@ -1,12 +1,13 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from longspan import geometry, neighborhoods, oracles
 from longspan.geometry import bichromatic_diametral_pair, dist
-from longspan.instances import GenSpec, generate
+from longspan.instances import GenSpec, generate, read_neighborhoods, write_neighborhoods
 from longspan.neighborhoods import (
     Neighborhood,
     NeighborhoodSet,
@@ -64,7 +65,7 @@ def _circle_nbs(rng, n, k) -> NeighborhoodSet:
     return NeighborhoodSet(nbs)
 
 
-def test_neighborhood_set_invariants():
+def test_neighborhood_set_invariants(tmp_path):
     with pytest.raises(ValueError, match="duplicate color"):
         NeighborhoodSet(
             [Neighborhood(1, (((0, 0),),)), Neighborhood(1, (((1, 0),),))]
@@ -91,6 +92,22 @@ def test_neighborhood_set_invariants():
     assert all(nbs.owner[v] == k for k, r in enumerate(nbs.ranges) for v in r)
     for nb, r in zip(nbs.neighborhoods, nbs.ranges):
         assert [nbs.points[v] for v in r] == list(nb.vertices())
+    # a color is an int, as the file format writes it, so a set round-trips
+    for bad in ("a", 2.0, Fraction(3), None):
+        with pytest.raises(ValueError, match=re.escape(f"neighborhood color {bad!r} is not an int")):
+            Neighborhood(bad, (((0, 0),),))
+    assert type(Neighborhood(True, (((0, 0),),)).color) is int
+    nbs = NeighborhoodSet([Neighborhood(True, (((0, 0),),)), Neighborhood(-4, (((1, 0),),))])
+    write_neighborhoods(tmp_path / "c.nbs", nbs)
+    back = read_neighborhoods(tmp_path / "c.nbs")
+    assert back.colors == nbs.colors == [1, -4]
+    assert back.points == nbs.points
+
+
+def test_neighborhood_colors_take_numpy_integers():
+    np = pytest.importorskip("numpy")
+    nb = Neighborhood(np.int64(3), (((0, 0),),))
+    assert type(nb.color) is int and nb.color == 3
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -155,7 +155,12 @@ def test_max_spanning_tree_examples():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize(
     "build",
-    [min_spanning_tree, max_spanning_tree, lambda pts: max_spanning_tree_through(pts, 0, 2)],
+    [
+        min_spanning_tree,
+        max_spanning_tree,
+        lambda pts: max_spanning_tree_through(pts, 0, 2),
+        pytest.param(lambda pts: fermat_point(*pts), id="fermat_point"),
+    ],
 )
 def test_spanning_trees_reject_non_finite_points(build, bad):
     with pytest.raises(ValueError, match="point 1 has a non-finite coordinate"):
@@ -367,6 +372,11 @@ def test_fermat_point_wide_angle():
     res = fermat_point(a, b, c)
     assert res.degenerate_at_vertex == 0
     assert res.smt_length == dist(a, b) + dist(a, c)
+
+
+def test_fermat_point_rejects_coordinates_beyond_the_double_range():
+    with pytest.raises(ValueError, match="point 1 has a coordinate beyond the double range"):
+        fermat_point((0, 0), (10**400, 0), (1, 1))
 
 
 def test_fermat_point_collapsed_triples():
