@@ -280,9 +280,9 @@ def _bounding_box(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, floa
 
 
 def _check_length_bound(edges: int, longest: float) -> None:
-    # Raises ValueError unless any `edges` lengths of at most `longest` add
-    # up to a finite double: adding them one by one rounds up by at most
-    # about (edges - 1) * 2^-53 relative, and the slack is over twice that.
+    # Raises ValueError unless any `edges` lengths of at most `longest` add up
+    # to a finite double, as a math.fsum (their exact sum, rounded) or as the
+    # oracles' running sums, which round up by at most about (edges - 1) * 2^-53.
     if edges * longest * (1.0 + edges * 2.0**-52) == math.inf:
         raise ValueError(f"the tree length bound {edges} * {longest!r} overflows a double")
 

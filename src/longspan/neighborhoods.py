@@ -6,9 +6,10 @@ by its ratio analysis."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from functools import cache, reduce
-from operator import add, ge, index, itemgetter
+from functools import cache
+from operator import add, ge, index
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .geometry import Point, _check_length_bound, _dist_row, _farthest_pair, _floats, as_points
@@ -24,7 +25,8 @@ class Neighborhood:
     matter to the solvers: a farthest point inside a polygon is always
     attained at a vertex.  A NaN or infinite vertex coordinate raises
     ValueError naming the color and the vertex's index in its ring, and so
-    does a color that is not an int (numpy's integers become Python ints).
+    does a color that is not an int (numpy's integers become Python ints)
+    or has more digits than str() may write (sys.get_int_max_str_digits()).
     """
 
     color: int
@@ -35,6 +37,10 @@ class Neighborhood:
             object.__setattr__(self, "color", index(self.color))
         except TypeError:
             raise ValueError(f"neighborhood color {self.color!r} is not an int") from None
+        # 0: no limit (as before Python 3.10.7); 10**lim only past 3 bits a digit
+        lim = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if lim and self.color.bit_length() > 3 * lim and abs(self.color) >= 10**lim:
+            raise ValueError(f"neighborhood color over {lim} digits (sys.get_int_max_str_digits)")
         try:
             polys = tuple(tuple(as_points(ring)) for ring in self.polygons)
         except ValueError as err:
@@ -108,8 +114,7 @@ def _stnb_solution(
     candidate: str, length: float | None = None,
 ) -> StnbSolution:
     # the solution whose tree joins the neighborhoods' positions by `edges`,
-    # reps[k] representing the k-th neighborhood; length, when given, is
-    # the tree's length as tree_length sums it
+    # reps[k] representing the k-th one; length, when given, is tree_length's
     tree = Tree(nbs.n, tuple(edges))
     if length is None:
         length = tree_length(tree, [nbs.points[v] for v in reps])
@@ -225,9 +230,7 @@ def _double_star(
     nbs: NeighborhoodSet, a: int, b: int, row
 ) -> tuple[float, list[int], list[tuple[int, int]]]:
     # build_double_star from the row source row (see _rows): its length,
-    # representatives and sorted edges.  The length adds each edge's
-    # distance from the rows in sorted edge order, as tree_length does; the
-    # (i, j, length) triples sort by edge, since no two share one.
+    # summed from the rows as by tree_length, representatives and edges
     ka, kb = nbs.owner[a], nbs.owner[b]
     if ka == kb:
         raise ValueError("double-star anchors must have different colors")
@@ -239,11 +242,8 @@ def _double_star(
     # every position but kb joins a hub: ka joins kb, the others a or b
     hubs = [ka if t else kb for t in to_a]
     lengths = [ta if t else tb for ta, tb, t in zip(top_a, top_b, to_a)]
-    hubs[ka], lengths[ka] = kb, row_a[b]
-    edges = sorted(
-        [(k, h, d) if k < h else (h, k, d) for k, h, d in zip(range(nbs.n), hubs, lengths) if k != kb]
-    )
-    return reduce(add, map(itemgetter(2), edges), 0.0), reps, [(i, j) for i, j, _ in edges]
+    hubs[ka], lengths[ka], lengths[kb] = kb, row_a[b], 0.0  # kb joins no hub
+    return math.fsum(lengths), reps, [(k, h) for k, h in enumerate(hubs) if k != kb]
 
 
 def build_double_star(nbs: NeighborhoodSet, a: int, b: int) -> StnbSolution:
@@ -262,9 +262,8 @@ def build_double_star(nbs: NeighborhoodSet, a: int, b: int) -> StnbSolution:
 
 
 def _star_length(top: list[float], kc: int) -> float:
-    # the length of the star at position kc over the farthest distances
-    # top, its edges (kc, k) added in ascending k as by tree_length
-    return reduce(add, top[:kc] + top[kc + 1:], 0.0)
+    # the length, as by tree_length, of the star at position kc over top
+    return math.fsum(top[:kc] + top[kc + 1:])
 
 
 def _star(nbs: NeighborhoodSet, center: int, row, candidate: str) -> StnbSolution:

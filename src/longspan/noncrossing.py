@@ -331,9 +331,7 @@ def solve_ncst(points: Sequence[Sequence[float]], prune: bool = True) -> SolveRe
     winner, winner_len = None, -1.0
     for cand in candidates:  # in tie order: only a strictly longer tree wins
         if cand.noncrossing:
-            length = 0.0
-            for i, j in cand.tree.edges:  # added in tree_length's order
-                length += rows[i][j]
+            length = math.fsum(rows[i][j] for i, j in cand.tree.edges)  # as tree_length
             if length > winner_len:
                 winner, winner_len = cand, length
     if winner is None:

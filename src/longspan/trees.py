@@ -30,15 +30,14 @@ class Tree:
 
 
 def tree_length(tree: Tree, points: Sequence[Sequence[float]]) -> float:
-    """Total Euclidean length of the tree's edges.  The points are taken as
-    given: raw numpy int64 or mixed input needs as_points first, as for orientation."""
+    """Total Euclidean length of the tree's edges, correctly rounded by
+    math.fsum, so independent of edge order.  The points are taken as given:
+    raw numpy int64 or mixed input needs as_points first, as for orientation."""
     n = len(points)
-    total = 0.0
     for i, j in tree.edges:
         if not (0 <= i < n and 0 <= j < n):
             raise IndexError(f"edge ({i}, {j}) out of range for {n} points")
-        total += dist(points[i], points[j])
-    return total
+    return math.fsum(dist(points[i], points[j]) for i, j in tree.edges)
 
 
 def validate_spanning_tree(tree: Tree, points: Sequence | None = None) -> str | None:

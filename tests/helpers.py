@@ -187,9 +187,9 @@ def solve_stnb_reference(nbs) -> dict:
     """The 0.524 algorithm written vertex by vertex: the pair (a, b) from
     farthest_pair_reference, each farthest vertex from
     farthest_vertex_reference, the S3 centre from one hypot per vertex, and
-    all four candidates S1, S2, S3, D built as trees and summed edge by
-    edge in sorted edge order.  Returns the report's fields (the tree as
-    its sorted edge list)."""
+    all four candidates S1, S2, S3, D built as trees, each length the
+    math.fsum of its edges' hypot distances.  Returns the report's fields
+    (the tree as its sorted edge list)."""
     points, colors = nbs.points, nbs.colors
     order = [nb.color for nb in nbs.neighborhoods]
 
@@ -202,9 +202,7 @@ def solve_stnb_reference(nbs) -> dict:
     def candidate(name, reps, edges):
         edges = sorted((min(i, j), max(i, j)) for i, j in edges)
         pts = [points[reps[c]] for c in order]
-        length = 0.0
-        for i, j in edges:
-            length += d(pts[i], pts[j])
+        length = math.fsum(d(pts[i], pts[j]) for i, j in edges)
         return {"candidate": name, "edges": edges, "representatives": reps, "points": pts,
                 "length": length}
 
@@ -248,15 +246,16 @@ def solve_ncst_reference(pts, prune: bool = True) -> dict:
     """solve_ncst from its public builders, one candidate at a time: every
     star, the monotone path on collinear input, and build_Ta and build_Tb
     for every guess, each checked by is_noncrossing (a ValueError rejects
-    it) and summed by tree_length.  The first strictly longest candidate
-    wins, in the order stars by center, path, every T_a, every T_b.  The
-    diametral pair comes from farthest_pair_reference and collinearity
-    from orientation_reference; the path orders the points by their exact
-    projection onto that pair, ties by index.  Returns the report's fields
-    and the guesses; raises ValueError when no candidate is valid."""
+    it) and its length the math.fsum of its edges' hypot distances.  The
+    first strictly longest candidate wins, in the order stars by center,
+    path, every T_a, every T_b.  The diametral pair comes from
+    farthest_pair_reference and collinearity from orientation_reference;
+    the path orders the points by their exact projection onto that pair,
+    ties by index.  Returns the report's fields and the guesses; raises
+    ValueError when no candidate is valid."""
     from fractions import Fraction
 
-    from longspan import Tree, build_Ta, build_Tb, is_noncrossing, ncst_params, star, tree_length
+    from longspan import Tree, build_Ta, build_Tb, is_noncrossing, ncst_params, star
 
     n = len(pts)
     iu, iv = farthest_pair_reference(pts, range(n))
@@ -284,8 +283,11 @@ def solve_ncst_reference(pts, prune: bool = True) -> dict:
             ok = is_noncrossing(tree, pts)[0]
         except ValueError:
             ok = False
-        if ok and (best is None or tree_length(tree, pts) > best[0]):
-            best = tree_length(tree, pts), tag, guess, tree, center
+        length = math.fsum(
+            math.hypot(pts[i][0] - pts[j][0], pts[i][1] - pts[j][1]) for i, j in tree.edges
+        )
+        if ok and (best is None or length > best[0]):
+            best = length, tag, guess, tree, center
     if best is None:
         raise ValueError("no valid noncrossing candidate")
     length, tag, guess, tree, center = best

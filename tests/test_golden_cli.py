@@ -20,9 +20,9 @@ GEN = [
 
 GOLDEN = {
     "c.pts": "d4c57dda67874823096043d45a7caa88ab36542c4aabc54f81ccdb12cfd734c5",
-    "c.report": "009be151a2760ad3b2f9ea713f3a03f286b06db0103f4ff59b6fb5d047e04112",
+    "c.report": "d942630290b06a8b9f400800769d272653652c7b628558ecf2d7964f0f2c5484",
     "c.svg": "9c492d827f612c93b470ae44331cf0a900ec2caf9ad4afdf7eb7f2067a41da6c",
-    "c.tree": "f1d7cc50b363d1349a9f509adf270959e608bdf3acc66389a1d19eca1b9cc73b",
+    "c.tree": "68819be43dbbf864d16996750d6336fde8afd2b332fe01ff8ce02faf5476d3f3",
     "constants.json": "e37a2d40fa187e8fe7803ccf6af1bc2632bfb077254abc4c088a6feed961965b",
     "dc.nbs": "c067ae1da66816b13540680ca76d73a15df327788dec933af490c2e3378446da",
     "dc.report": "78ef322b1e47a2b79fb4e9e07b454ba9537d62d219d867befa7e89e37414fa76",
@@ -34,7 +34,7 @@ GOLDEN = {
     "n1.report": "67e5b26fa508d219e1b03e81d56e580e6e9d854a1c618ff1eb9b0d9b8b2bbceb",
     "n1.svg": "be92ff1cdb6f9b297d733f3bdc1874db19bc684337b0b0b9c1f94d325b10e943",
     "n1.tree": "2fda176ab29c565e957d0401a235dc465666a8c50bd60dbc1acd133d8923e161",
-    "ratios.json": "b859d1716395196f9c573b85b59a8685adf64b83bc0d21b0b1c0e15e99b5e3b7",
+    "ratios.json": "5c07597697a23099c8b6fd5598f8f34219a83b0079dd77ca7df419f2e40b2ead",
     "u1.pts": "fd198c18d2ffb2efe4f4d66fed00c922be990e807997690aedec8959bb52036f",
     "u1.report": "2c8a64c74ce81095458cc9c9458b1a6b1f47921eee1be516fcd1089fc0de3722",
     "u1.svg": "015c2d6d5e5600f89a7e1fcd3501f0c417086bd8b1e82ae48d27c736e61f0ec7",

@@ -97,11 +97,16 @@ def test_neighborhood_set_invariants(tmp_path):
         with pytest.raises(ValueError, match=re.escape(f"neighborhood color {bad!r} is not an int")):
             Neighborhood(bad, (((0, 0),),))
     assert type(Neighborhood(True, (((0, 0),),)).color) is int
-    nbs = NeighborhoodSet([Neighborhood(True, (((0, 0),),)), Neighborhood(-4, (((1, 0),),))])
+    big = -(10**40) + 7
+    nbs = NeighborhoodSet([Neighborhood(True, (((0, 0),),)), Neighborhood(-4, (((1, 0),),)),
+                           Neighborhood(big, (((2, 0),),))])
     write_neighborhoods(tmp_path / "c.nbs", nbs)
     back = read_neighborhoods(tmp_path / "c.nbs")
-    assert back.colors == nbs.colors == [1, -4]
+    assert back.colors == nbs.colors == [1, -4, big]
     assert back.points == nbs.points
+    # a color with more digits than str() may write could not be saved
+    with pytest.raises(ValueError, match=r"neighborhood color over \d+ digits"):
+        Neighborhood(10**5000, (((0, 0),),))
 
 
 def test_neighborhood_colors_take_numpy_integers():
@@ -308,6 +313,48 @@ def test_solve_stnb_matches_reference():
         assert rep.length == ref["length"]
         assert rep.upper_bound == ref["upper_bound"]
         assert rep.metrics == ref["metrics"]
+
+
+def _by_color(rep, nbs) -> tuple:
+    # the tree's edges as color pairs and each color's representative point
+    color = [nb.color for nb in nbs.neighborhoods]
+    edges = sorted(tuple(sorted((color[i], color[j]))) for i, j in rep.tree.edges)
+    return edges, {c: nbs.points[v] for c, v in rep.representatives.items()}
+
+
+def _symmetry_nbs(count: int) -> list[NeighborhoodSet]:
+    rng = random.Random(26)
+    return [generate(GenSpec("random_neighborhoods", rng.randint(2, 30), rng.getrandbits(32),
+                             vertices_per_nb=rng.randint(1, 4))) for _ in range(count)]
+
+
+def test_solve_stnb_is_relabeling_invariant():
+    # Shuffled neighborhoods give the same tree and representative points
+    # by color, and the same length to the bit: lengths are math.fsum,
+    # whatever the edge order.
+    rng = random.Random(7)
+    for nbs in _symmetry_nbs(40):
+        base = solve_stnb(nbs)
+        shuffled = NeighborhoodSet(rng.sample(nbs.neighborhoods, nbs.n))
+        rep = solve_stnb(shuffled)
+        assert _by_color(rep, shuffled) == _by_color(base, nbs)
+        assert rep.length == base.length
+
+
+def test_solve_stnb_is_invariant_under_quarter_turns():
+    # (x, y) -> (-y, x) is exact, so each of the three turns keeps the tree,
+    # the representatives and the length
+    for nbs in _symmetry_nbs(20):
+        base = solve_stnb(nbs)
+        turned = nbs
+        for _ in range(3):
+            turned = NeighborhoodSet([
+                Neighborhood(nb.color, tuple(tuple((-y, x) for x, y in ring) for ring in nb.polygons))
+                for nb in turned.neighborhoods
+            ])
+            rep = solve_stnb(turned)
+            assert (rep.tree.edges, rep.representatives, rep.length) == (
+                base.tree.edges, base.representatives, base.length)
 
 
 def test_row_maxima_match_a_plain_max_per_neighborhood():
