@@ -7,7 +7,9 @@ guess adds two anchored trees T_a and T_b built in three sweeps (far-strip
 points to the anchor, near-strip points into angular wedges, middle-strip
 points greedily to visible wedge endpoints).  Every builder makes a spanning
 tree by construction, so one crossing scan, is_noncrossing's, validates each
-candidate, and the reported tree is always a noncrossing spanning tree.
+candidate, and the reported tree is always a noncrossing spanning tree.  The
+candidates repeat (on two-cluster input 200 anchored trees hold about 18
+distinct ones), so a solve scans each distinct candidate tree once.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from typing import Callable, NamedTuple, Sequence
 
@@ -187,17 +190,23 @@ class NcstCandidate:
 
 
 def _candidate(
-    points: Sequence[Sequence[float]], tree: Tree | None, tag: str,
+    points: Sequence[Sequence[float]], verdicts: dict, tree: Tree | None, tag: str,
     guess: tuple[int, int] | None = None, seg: Callable | None = None, center: int | None = None,
 ) -> NcstCandidate:
     # Builders span by construction, so the crossing scan is the one check:
     # is_noncrossing's, over the shared segments seg(i, j) for anchored trees.
     # A failed construction or a zero-length edge (equal points) rejects.
-    try:
-        ok = tree is not None and (
-            _crossing_scan(tree.edges, seg) if seg else is_noncrossing(tree, points))[0]
-    except ValueError:
-        ok = False
+    # The exact kernel ignores endpoint order, so a verdict depends only on
+    # the points and the edge set, which Tree sorts: verdicts maps tree.edges
+    # to it, and a solve shares one dict, scanning each distinct tree once.
+    if tree is None:
+        return NcstCandidate(None, tag, guess, False, center)
+    if (ok := verdicts.get(tree.edges)) is None:
+        try:
+            ok = (_crossing_scan(tree.edges, seg) if seg else is_noncrossing(tree, points))[0]
+        except ValueError:
+            ok = False
+        verdicts[tree.edges] = ok
     return NcstCandidate(tree, tag, guess, ok, center)
 
 
@@ -272,13 +281,13 @@ def _anchored_tree(
 def build_Ta(points: Sequence[Sequence[float]], a: int, b: int) -> NcstCandidate:
     """Anchored tree for guess (a, b) rooted at a, over as_points(points)."""
     seg = _shared_segments(pts := as_points(points))
-    return _candidate(pts, _anchored_tree(pts, a, b, seg), "Ta", (a, b), seg)
+    return _candidate(pts, {}, _anchored_tree(pts, a, b, seg), "Ta", (a, b), seg)
 
 
 def build_Tb(points: Sequence[Sequence[float]], a: int, b: int) -> NcstCandidate:
     """Mirror construction rooted at b (same sweeps, reversed axis)."""
     seg = _shared_segments(pts := as_points(points))
-    return _candidate(pts, _anchored_tree(pts, b, a, seg), "Tb", (a, b), seg)
+    return _candidate(pts, {}, _anchored_tree(pts, b, a, seg), "Tb", (a, b), seg)
 
 
 def _monotone_path(points: Sequence[Sequence[float]], iu: int, iv: int) -> Tree:
@@ -300,8 +309,12 @@ def solve_ncst(points: Sequence[Sequence[float]], prune: bool = True) -> SolveRe
     every T_a, then every T_b (each by lexicographic guess).  Each call
     works out every point pair once: one table of n^2 distances for the
     guess filter and the lengths, and one segment per pair, on first use,
-    for all the anchored trees.  Raises ValueError when (n - 1) * diameter
-    overflows a double.
+    for all the anchored trees.  It also scans each distinct candidate tree
+    once: one dict maps each tree's sorted edges to its verdict, so an
+    anchored tree equal to a star, or to an earlier anchored tree, takes
+    that verdict.  The dict holds one edge tuple per distinct tree the call
+    builds, n - 1 pairs each, and lives for the call.  Raises ValueError
+    when (n - 1) * diameter overflows a double.
     """
     n = len(points)
     if n < 2:
@@ -322,11 +335,12 @@ def solve_ncst(points: Sequence[Sequence[float]], prune: bool = True) -> SolveRe
     # iu and iv differ by value, since diam > 0
     collinear = all(orientation(pts[iu], pts[iv], p) == 0 for p in pts)
     seg = _shared_segments(pts)  # one per point pair for every anchored tree
+    candidate = partial(_candidate, pts, {})  # one verdict per distinct tree
     candidates = chain(
-        (_candidate(pts, star(pts, c), "star", center=c) for c in range(n)),
-        [_candidate(pts, _monotone_path(pts, iu, iv), "path")] if collinear else [],
-        (_candidate(pts, _anchored_tree(pts, i, j, seg), "Ta", (i, j), seg) for i, j in guesses),
-        (_candidate(pts, _anchored_tree(pts, j, i, seg), "Tb", (i, j), seg) for i, j in guesses),
+        (candidate(star(pts, c), "star", center=c) for c in range(n)),
+        [candidate(_monotone_path(pts, iu, iv), "path")] if collinear else [],
+        (candidate(_anchored_tree(pts, i, j, seg), "Ta", (i, j), seg) for i, j in guesses),
+        (candidate(_anchored_tree(pts, j, i, seg), "Tb", (i, j), seg) for i, j in guesses),
     )
     winner, winner_len = None, -1.0
     for cand in candidates:  # in tie order: only a strictly longer tree wins

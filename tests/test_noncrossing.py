@@ -500,6 +500,44 @@ def test_solve_ncst_works_out_each_point_pair_once(seed, monkeypatch):
     assert len(calls) == anchored_calls
 
 
+def test_solve_ncst_scans_each_distinct_candidate_once(monkeypatch):
+    # A crossing verdict depends only on the points and the edge set, so one
+    # solve scans each distinct candidate tree once, whatever its kind: stars
+    # through is_noncrossing, anchored trees through _crossing_scan.
+    def check(pts):
+        guesses = solve_ncst_reference(pts)["guesses"]
+        built = [b(pts, i, j).tree for i, j in guesses for b in (build_Ta, build_Tb)]
+        stars = {star(pts, c).edges for c in range(len(pts))}
+        anchored = {t.edges for t in built if t is not None}
+        scans = {"star": Counter(), "anchored": Counter()}
+
+        def scan_spy(edges, segment):
+            scans["anchored"][tuple(edges)] += 1
+            return trees._crossing_scan(edges, segment)
+
+        def is_noncrossing_spy(tree, points):
+            scans["star"][tree.edges] += 1
+            return trees.is_noncrossing(tree, points)
+
+        with monkeypatch.context() as m:
+            m.setattr(noncrossing, "_crossing_scan", scan_spy)
+            m.setattr(noncrossing, "is_noncrossing", is_noncrossing_spy)
+            solve_ncst(pts)
+        assert set(scans["star"]) == stars and set(scans["anchored"]) == anchored - stars
+        assert {*scans["star"].values(), *scans["anchored"].values()} == {1}
+        return anchored, len(built)
+
+    for seed in (1, 2, 3):
+        # two-cluster input repeats anchored trees: 200 built, far fewer distinct
+        anchored, built = check(generate(GenSpec("two_cluster", 20, seed, epsilon=1e-6)))
+        assert built == 200 > 2 * len(anchored)
+    # T_a of (0, 1) is the star at 0, which takes the star's verdict: the
+    # check above finds its scan among the stars' and not the anchored trees'
+    pts = [(0.0, 0.0), (1.0, 0.0), (0.9, 0.1), (0.95, -0.2)]
+    anchored, _ = check(pts)
+    assert build_Ta(pts, 0, 1).tree.edges == star(pts, 0).edges and star(pts, 0).edges in anchored
+
+
 def test_solve_ncst_keeps_the_first_of_tied_candidates():
     # the four stars of the unit square all have length 2 + sqrt(2)
     rep = solve_ncst([(0, 0), (1, 0), (1, 1), (0, 1)])
