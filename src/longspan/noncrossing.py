@@ -6,10 +6,13 @@ monotone path when the input is collinear, where stars self-overlap); each
 guess adds two anchored trees T_a and T_b built in three sweeps (far-strip
 points to the anchor, near-strip points into angular wedges, middle-strip
 points greedily to visible wedge endpoints).  Every builder makes a spanning
-tree by construction, so one crossing scan, is_noncrossing's, validates each
-candidate, and the reported tree is always a noncrossing spanning tree.  The
-candidates repeat (on two-cluster input 200 anchored trees hold about 18
-distinct ones), so a solve scans each distinct candidate tree once.
+tree by construction, so one exact crossing check per edge pair validates
+each candidate, and the reported tree is always a noncrossing spanning tree:
+is_noncrossing's scan for stars and the path; for an anchored tree, the
+middle sweep's visibility probes for every pair with a middle edge and a
+crossing scan over the edges placed before it for the rest.  The candidates
+repeat (on two-cluster input 200 anchored trees hold about 18 distinct
+ones), so a solve checks each distinct candidate tree once.
 """
 
 from __future__ import annotations
@@ -190,20 +193,20 @@ class NcstCandidate:
 
 
 def _candidate(
-    points: Sequence[Sequence[float]], verdicts: dict, tree: Tree | None, tag: str,
-    guess: tuple[int, int] | None = None, seg: Callable | None = None, center: int | None = None,
+    points: Sequence[Sequence[float]], verdicts: dict, tree: Tree | None, scan: tuple | None,
+    tag: str, guess: tuple[int, int] | None = None, center: int | None = None,
 ) -> NcstCandidate:
-    # Builders span by construction, so the crossing scan is the one check:
-    # is_noncrossing's, over the shared segments seg(i, j) for anchored trees.
-    # A failed construction or a zero-length edge (equal points) rejects.
-    # The exact kernel ignores endpoint order, so a verdict depends only on
-    # the points and the edge set, which Tree sorts: verdicts maps tree.edges
-    # to it, and a solve shares one dict, scanning each distinct tree once.
+    # Builders span by construction, so crossings are the one check:
+    # is_noncrossing's scan, or the scan an anchored tree leaves.  A failed
+    # construction or a zero-length edge (equal points) rejects.  The exact
+    # kernel ignores endpoint order, so a verdict depends only on the points
+    # and the edge set, which Tree sorts: verdicts maps tree.edges to it,
+    # and a solve shares one dict, checking each distinct tree once.
     if tree is None:
         return NcstCandidate(None, tag, guess, False, center)
     if (ok := verdicts.get(tree.edges)) is None:
         try:
-            ok = (_crossing_scan(tree.edges, seg) if seg else is_noncrossing(tree, points))[0]
+            ok = (_crossing_scan(*scan) if scan else is_noncrossing(tree, points))[0]
         except ValueError:
             ok = False
         verdicts[tree.edges] = ok
@@ -212,8 +215,9 @@ def _candidate(
 
 def _anchored_tree(
     points: Sequence[Sequence[float]], root: int, far: int, segment: Callable[[int, int], tuple],
-) -> Tree | None:
-    """Three-sweep construction anchored at `root` with mate `far`.
+) -> tuple[Tree | None, tuple | None]:
+    """Three-sweep construction anchored at `root` with mate `far`: the
+    tree, or None, and the _crossing_scan arguments it leaves.
 
     Sweep 1 connects every right-strip point (beyond the far strip line) to
     the root; these spokes, in angular order, partition the plane into
@@ -221,8 +225,11 @@ def _anchored_tree(
     its wedge (points on the axis count as below it).  Sweep 3 walks the
     middle-strip points in increasing angle and attaches each to the
     farthest visible wedge endpoint, falling back to the nearest visible
-    tree vertex; an unattachable point aborts the construction.  Every
-    segment comes from segment(i, j), which a solve shares across trees.
+    tree vertex; an unattachable point aborts the construction.  Its
+    visibility probes decide every edge pair with a middle edge, so the
+    scan left covers the edges placed before sweep 3, the whole tree when
+    no point is in the middle strip.  Every segment comes from
+    segment(i, j), which a solve shares across trees.
     """
     _, xs, ys, strips = _strip_split(points, root, far)
     # every point's angle about the root from the direction of far, in [-pi, pi)
@@ -236,7 +243,7 @@ def _anchored_tree(
     # Reached when |ab| is subnormal and a point lies 1/2 or more away:
     # _strip_split keeps the frame, and the strip lines round together.
     if far not in right:
-        return None
+        return None, None
 
     spokes = sorted(right, key=lambda k: (theta[k], dist(points[root], points[k])))
     spoke_angles = [theta[k] for k in spokes]
@@ -250,9 +257,10 @@ def _anchored_tree(
         edges.append((spokes[wedge_index(theta[k])], k))
         attached.append(k)
 
-    # Built only for middle points, which two-cluster input lacks.  No edge
-    # joins coincident points (spokes and left-strip edges join two strips,
-    # and visible() checks the rest), so the crossing scan cannot raise.
+    # No edge joins coincident points (spokes and left-strip edges join two
+    # strips, and visible() checks the rest), so the scan cannot raise.
+    scan = edges[:], segment
+    # built only for middle points, which two-cluster input lacks
     segs = [segment(i, j) for i, j in edges] if middle else []
 
     def visible(k: int, w: int) -> bool:
@@ -271,23 +279,23 @@ def _anchored_tree(
             fallback = sorted(attached, key=lambda w: (dist(p, points[w]), w))
             target = next((w for w in fallback if visible(k, w)), None)
         if target is None:
-            return None
+            return None, None
         edges.append((target, k))
         segs.append(segment(target, k))
         attached.append(k)
-    return Tree(len(points), tuple(edges))
+    return Tree(len(points), tuple(edges)), scan
 
 
 def build_Ta(points: Sequence[Sequence[float]], a: int, b: int) -> NcstCandidate:
     """Anchored tree for guess (a, b) rooted at a, over as_points(points)."""
     seg = _shared_segments(pts := as_points(points))
-    return _candidate(pts, {}, _anchored_tree(pts, a, b, seg), "Ta", (a, b), seg)
+    return _candidate(pts, {}, *_anchored_tree(pts, a, b, seg), "Ta", (a, b))
 
 
 def build_Tb(points: Sequence[Sequence[float]], a: int, b: int) -> NcstCandidate:
     """Mirror construction rooted at b (same sweeps, reversed axis)."""
     seg = _shared_segments(pts := as_points(points))
-    return _candidate(pts, {}, _anchored_tree(pts, b, a, seg), "Tb", (a, b), seg)
+    return _candidate(pts, {}, *_anchored_tree(pts, b, a, seg), "Tb", (a, b))
 
 
 def _monotone_path(points: Sequence[Sequence[float]], iu: int, iv: int) -> Tree:
@@ -303,13 +311,16 @@ def solve_ncst(points: Sequence[Sequence[float]], prune: bool = True) -> SolveRe
 
     Candidates: the n stars, a monotone path on collinear input (where
     stars self-overlap), and T_a and T_b per guess pair.  They span by
-    construction, and _candidate's crossing scan alone discards the rest.
+    construction, and one exact crossing check per edge pair discards the
+    rest: is_noncrossing's scan for stars and the path, and for an
+    anchored tree its middle sweep's visibility probes and a scan of the
+    edges placed before that sweep.
     Pruning skips guesses shorter than d * diameter, which the stars cover.
     Ties keep the earliest candidate in the order stars (by center), path,
     every T_a, then every T_b (each by lexicographic guess).  Each call
     works out every point pair once: one table of n^2 distances for the
     guess filter and the lengths, and one segment per pair, on first use,
-    for all the anchored trees.  It also scans each distinct candidate tree
+    for all the anchored trees.  It also checks each distinct candidate tree
     once: one dict maps each tree's sorted edges to its verdict, so an
     anchored tree equal to a star, or to an earlier anchored tree, takes
     that verdict.  The dict holds one edge tuple per distinct tree the call
@@ -337,10 +348,10 @@ def solve_ncst(points: Sequence[Sequence[float]], prune: bool = True) -> SolveRe
     seg = _shared_segments(pts)  # one per point pair for every anchored tree
     candidate = partial(_candidate, pts, {})  # one verdict per distinct tree
     candidates = chain(
-        (candidate(star(pts, c), "star", center=c) for c in range(n)),
-        [candidate(_monotone_path(pts, iu, iv), "path")] if collinear else [],
-        (candidate(_anchored_tree(pts, i, j, seg), "Ta", (i, j), seg) for i, j in guesses),
-        (candidate(_anchored_tree(pts, j, i, seg), "Tb", (i, j), seg) for i, j in guesses),
+        (candidate(star(pts, c), None, "star", center=c) for c in range(n)),
+        [candidate(_monotone_path(pts, iu, iv), None, "path")] if collinear else [],
+        (candidate(*_anchored_tree(pts, i, j, seg), "Ta", (i, j)) for i, j in guesses),
+        (candidate(*_anchored_tree(pts, j, i, seg), "Tb", (i, j)) for i, j in guesses),
     )
     winner, winner_len = None, -1.0
     for cand in candidates:  # in tie order: only a strictly longer tree wins

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections import Counter
@@ -399,6 +400,99 @@ def test_crossing_kernel_callers_match_the_reference_scan(pts, monkeypatch):
     assert -1 in found and max(found) >= 0  # visible and blocked both occur
 
 
+def _verdict_corpus():
+    rng = random.Random(28)
+    lattice = {side: [(x, y) for x in range(side) for y in range(side)] for side in (5, 6)}
+    yield "uniform", [(rng.random(), rng.random()) for _ in range(9)]
+    for eps in (1e-3, 1e-6):
+        yield f"two_cluster-{eps}", generate(GenSpec("two_cluster", 8, 3, epsilon=eps))
+    for side, cells in lattice.items():
+        sample = rng.sample(cells, 9)
+        yield f"lattice{side}", sample
+        yield f"lattice{side}/7", [(x / 7, y / 7) for x, y in sample]
+    # integer points at distance 5 from the origin
+    circle = [(x, y) for x in range(-5, 6) for y in range(-5, 6) if x * x + y * y == 25]
+    yield "cocircular", rng.sample(circle, 9)
+    yield "near_collinear", _near_collinear(3)
+    yield "duplicates", [rng.choice(lattice[5][:8]) for _ in range(9)]
+
+
+@pytest.mark.parametrize("name, pts", list(_verdict_corpus()), ids=[k for k, _ in _verdict_corpus()])
+def test_anchored_verdict_matches_a_full_scan(name, pts, monkeypatch):
+    # An anchored tree's verdict comes from its middle sweep's visibility
+    # probes and a scan of the edges placed before that sweep; it must be
+    # is_noncrossing's over the whole tree (a zero-length edge rejects), with
+    # the crossing kernel and with the exact reference scan in its place.
+    def check(pts):
+        n, seen = len(pts), Counter()
+        for i, j in ((i, j) for i in range(n) for j in range(i + 1, n) if pts[i] != pts[j]):
+            for cand in (build_Ta(pts, i, j), build_Tb(pts, i, j)):
+                if cand.tree is None:
+                    assert not cand.noncrossing
+                    continue
+                try:
+                    want = is_noncrossing(cand.tree, pts)[0]
+                except ValueError:
+                    want = False
+                assert cand.noncrossing == want, (cand.tag, cand.guess)
+                seen[want] += 1
+        return seen
+
+    for e in (0, 500, -500):
+        seen = check([(math.ldexp(x, e), math.ldexp(y, e)) for x, y in pts])
+    # the exact reference is scale-free, so it runs at the first scale only
+    with monkeypatch.context() as m:
+        for module in (noncrossing, trees):
+            m.setattr(module, "_first_crossing", crossing_scan_reference)
+        check(pts)
+    # on the duplicate set every anchored tree joins two equal points to one
+    # vertex, and those two edges overlap
+    assert seen[True] or name == "duplicates"
+
+
+def _pair_kernel_spy(pts, monkeypatch) -> Counter:
+    # Counts, per unordered pair of point-index edges, the segment pairs that
+    # the crossing kernel examines and clears, in noncrossing and in trees.
+    # A call that finds a crossing is dropped: a visibility probe of a
+    # target that the sweep rejects, or a scan of a crossing tree.
+    index = {tuple(p): k for k, p in enumerate(pts)}
+    pairs, kernel = Counter(), trees._first_crossing
+
+    def edge(segment):
+        return frozenset((index[segment[0]], index[segment[1]]))
+
+    def kernel_spy(s, segs, start=0):
+        if (m := kernel(s, segs, start)) < 0:
+            pairs.update(frozenset((edge(s), edge(t))) for t in segs[start:])
+        return m
+
+    for module in (noncrossing, trees):
+        monkeypatch.setattr(module, "_first_crossing", kernel_spy)
+    return pairs
+
+
+def test_anchored_tree_checks_each_edge_pair_once(monkeypatch):
+    # across the middle sweep's probes and the scan of the edges placed
+    # before it, every edge pair of a noncrossing anchored tree reaches the
+    # crossing kernel once
+    rng = random.Random(7)
+    cells = [(x / 5, y / 5) for x in range(6) for y in range(6)]
+    uniform = generate(GenSpec("uniform_square", 32, 1))
+    lattice_mix = rng.sample(cells, 8) + [(rng.random(), rng.random()) for _ in range(12)]
+    for pts in (uniform, lattice_mix):
+        guesses = solve_ncst_reference(pts)["guesses"][:12]
+        pairs, middle = _pair_kernel_spy(pts, monkeypatch), 0
+        for (i, j), build in itertools.product(guesses, (build_Ta, build_Tb)):
+            pairs.clear()
+            if (cand := build(pts, i, j)).noncrossing:
+                edges = [frozenset(e) for e in cand.tree.edges]
+                want = {frozenset((e, f)) for k, e in enumerate(edges) for f in edges[k + 1:]}
+                assert pairs == dict.fromkeys(want, 1), (cand.tag, cand.guess)
+                middle += "middle" in _strip_split(pts, i, j)[3]
+        assert middle > 0
+        monkeypatch.undo()
+
+
 def _prune_corpus():
     rng = random.Random(35)
     for _ in range(60):
@@ -510,9 +604,20 @@ def test_solve_ncst_scans_each_distinct_candidate_once(monkeypatch):
         stars = {star(pts, c).edges for c in range(len(pts))}
         anchored = {t.edges for t in built if t is not None}
         scans = {"star": Counter(), "anchored": Counter()}
+        # an anchored tree's scan gets only the edges placed before its
+        # middle sweep, so each scan is keyed by the tree that placed them
+        owner, build = {}, noncrossing._anchored_tree
+
+        def anchored_spy(*args):
+            tree, scan = build(*args)
+            if tree is not None:
+                owner[id(scan[0])] = scan[0], tree.edges
+            return tree, scan
 
         def scan_spy(edges, segment):
-            scans["anchored"][tuple(edges)] += 1
+            placed, tree_edges = owner[id(edges)]
+            assert placed is edges
+            scans["anchored"][tree_edges] += 1
             return trees._crossing_scan(edges, segment)
 
         def is_noncrossing_spy(tree, points):
@@ -520,6 +625,7 @@ def test_solve_ncst_scans_each_distinct_candidate_once(monkeypatch):
             return trees.is_noncrossing(tree, points)
 
         with monkeypatch.context() as m:
+            m.setattr(noncrossing, "_anchored_tree", anchored_spy)
             m.setattr(noncrossing, "_crossing_scan", scan_spy)
             m.setattr(noncrossing, "is_noncrossing", is_noncrossing_spy)
             solve_ncst(pts)
