@@ -82,24 +82,18 @@ def is_noncrossing(
 
     Returns (True, None) or (False, first crossing edge pair).  Edges that
     share an endpoint index still get tested: collinear overlaps through a
-    shared vertex count as crossings.  Each edge is scanned against the
-    later ones by the crossing kernel, whose one-pair case is
-    segments_cross, so the verdict and the first crossing pair are those of
-    the full pairwise segments_cross scan.  A tree with two or more edges
-    and a zero-length one raises ValueError first.  The points are taken as
-    given, as by tree_length.
+    shared vertex count as crossings.  It builds one segment per edge and
+    scans each against the later ones by the crossing kernel, whose one-pair
+    case is segments_cross, so the verdict and the first crossing pair are
+    those of the full pairwise segments_cross scan.  A tree with two or more
+    edges and a zero-length one raises ValueError first.  The points are
+    taken as given, as by tree_length.
     """
-    return _crossing_scan(tree.edges, lambda i, j: _segment(points[i], points[j]))
-
-
-def _crossing_scan(edges: Sequence[tuple[int, int]], segment: Callable) -> tuple:
-    # is_noncrossing's scan, taking each edge's segment from segment(i, j)
-    segs = []
-    for i, j in edges:
-        s = segment(i, j)
+    edges = tree.edges
+    segs = [_segment(points[i], points[j]) for i, j in edges]
+    for (i, j), s in zip(edges, segs):
         if s[0] == s[1] and len(edges) > 1:
             raise ValueError(f"zero-length edge ({i}, {j})")
-        segs.append(s)
     for k, s in enumerate(segs):
         if (m := _first_crossing(s, segs, k + 1)) >= 0:
             return False, (edges[k], edges[m])
@@ -107,8 +101,8 @@ def _crossing_scan(edges: Sequence[tuple[int, int]], segment: Callable) -> tuple
 
 
 def _shared_segments(points: Sequence[Sequence[float]]) -> Callable[[int, int], tuple]:
-    # A segment source for _crossing_scan that builds each pair's segment once,
-    # keyed by (min, max): the kernel's exact verdict ignores endpoint order.
+    # A segment source that builds each pair's segment once, keyed by
+    # (min, max): the crossing kernel's exact verdict ignores endpoint order.
     pair = cache(lambda i, j: _segment(points[i], points[j]))
     return lambda i, j: pair(i, j) if i < j else pair(j, i)
 

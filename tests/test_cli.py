@@ -13,6 +13,7 @@ from longspan.instances import (
 from longspan.neighborhoods import Neighborhood, NeighborhoodSet
 from longspan.noncrossing import solve_ncst
 from longspan.report import SolveReport
+from longspan.svg import render_svg
 from longspan.trees import Tree, tree_length
 
 
@@ -138,6 +139,12 @@ def test_svg_does_not_depend_on_the_input_scale(tmp_path):
                        "--svg-regions") == 0
             drawings.add(svg.read_bytes())
         assert len(drawings) == 1, spec
+
+
+def test_svg_skips_an_ellipse_below_its_focal_distance():
+    # no ellipse has a focal sum below |ab| = 1: 0.5 draws nothing, 1.5 one
+    regions = {"a": Point(0.0, 0.0), "b": Point(1.0, 0.0), "ellipse_sums": [0.5, 1.5]}
+    assert render_svg([(0.0, 0.0), (1.0, 0.0)], regions=regions).count("<ellipse") == 1
 
 
 def test_oracle_guard_exit_code(tmp_path, capsys):

@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 from collections import Counter
@@ -419,10 +418,9 @@ def _verdict_corpus():
 
 @pytest.mark.parametrize("name, pts", list(_verdict_corpus()), ids=[k for k, _ in _verdict_corpus()])
 def test_anchored_verdict_matches_a_full_scan(name, pts, monkeypatch):
-    # An anchored tree's verdict comes from its middle sweep's visibility
-    # probes and a scan of the edges placed before that sweep; it must be
-    # is_noncrossing's over the whole tree (a zero-length edge rejects), with
-    # the crossing kernel and with the exact reference scan in its place.
+    # An anchored tree's verdict must be is_noncrossing's over the whole
+    # tree (a zero-length edge rejects), with the crossing kernel and with
+    # the exact reference scan in its place, at three scales.
     def check(pts):
         n, seen = len(pts), Counter()
         for i, j in ((i, j) for i in range(n) for j in range(i + 1, n) if pts[i] != pts[j]):
@@ -448,49 +446,6 @@ def test_anchored_verdict_matches_a_full_scan(name, pts, monkeypatch):
     # on the duplicate set every anchored tree joins two equal points to one
     # vertex, and those two edges overlap
     assert seen[True] or name == "duplicates"
-
-
-def _pair_kernel_spy(pts, monkeypatch) -> Counter:
-    # Counts, per unordered pair of point-index edges, the segment pairs that
-    # the crossing kernel examines and clears, in noncrossing and in trees.
-    # A call that finds a crossing is dropped: a visibility probe of a
-    # target that the sweep rejects, or a scan of a crossing tree.
-    index = {tuple(p): k for k, p in enumerate(pts)}
-    pairs, kernel = Counter(), trees._first_crossing
-
-    def edge(segment):
-        return frozenset((index[segment[0]], index[segment[1]]))
-
-    def kernel_spy(s, segs, start=0):
-        if (m := kernel(s, segs, start)) < 0:
-            pairs.update(frozenset((edge(s), edge(t))) for t in segs[start:])
-        return m
-
-    for module in (noncrossing, trees):
-        monkeypatch.setattr(module, "_first_crossing", kernel_spy)
-    return pairs
-
-
-def test_anchored_tree_checks_each_edge_pair_once(monkeypatch):
-    # across the middle sweep's probes and the scan of the edges placed
-    # before it, every edge pair of a noncrossing anchored tree reaches the
-    # crossing kernel once
-    rng = random.Random(7)
-    cells = [(x / 5, y / 5) for x in range(6) for y in range(6)]
-    uniform = generate(GenSpec("uniform_square", 32, 1))
-    lattice_mix = rng.sample(cells, 8) + [(rng.random(), rng.random()) for _ in range(12)]
-    for pts in (uniform, lattice_mix):
-        guesses = solve_ncst_reference(pts)["guesses"][:12]
-        pairs, middle = _pair_kernel_spy(pts, monkeypatch), 0
-        for (i, j), build in itertools.product(guesses, (build_Ta, build_Tb)):
-            pairs.clear()
-            if (cand := build(pts, i, j)).noncrossing:
-                edges = [frozenset(e) for e in cand.tree.edges]
-                want = {frozenset((e, f)) for k, e in enumerate(edges) for f in edges[k + 1:]}
-                assert pairs == dict.fromkeys(want, 1), (cand.tag, cand.guess)
-                middle += "middle" in _strip_split(pts, i, j)[3]
-        assert middle > 0
-        monkeypatch.undo()
 
 
 def _prune_corpus():
@@ -563,21 +518,34 @@ def test_solve_ncst_matches_its_public_builders(pts, prune):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_solve_ncst_works_out_each_point_pair_once(seed, monkeypatch):
-    # Every star builds its own segments, and each pair is an edge of two
-    # stars, so a pair built more than three times was built twice for the
-    # anchored trees.  The guess filter and the lengths read the distance
-    # table, so every dist call left is one that the anchored trees make.
+    # The anchored trees share one segment source, which builds each pair at
+    # most once (none here: two-cluster input has no middle-strip point to
+    # probe with); is_noncrossing builds its own n - 1 segments per checked
+    # candidate, and every pair is an edge of a star.  The guess filter and
+    # the lengths read the distance table, so every dist call left is one
+    # that the anchored trees make.
     pts = generate(GenSpec("two_cluster", 20, seed, epsilon=1e-6))
     guesses = solve_ncst_reference(pts)["guesses"]
-    built, calls = Counter(), []
+    built, shared, calls, checks, scanning = Counter(), Counter(), [], [], []
 
     def segment_spy(p, q):
-        built[frozenset((tuple(p), tuple(q)))] += 1
+        pair = frozenset((tuple(p), tuple(q)))
+        built[pair] += 1
+        if not scanning:
+            shared[pair] += 1
         return _segment(p, q)
 
     def dist_spy(p, q):
         calls.append((p, q))
         return dist(p, q)
+
+    def is_noncrossing_spy(tree, points):
+        checks.append(tree)
+        scanning.append(tree)
+        try:
+            return is_noncrossing(tree, points)
+        finally:
+            scanning.pop()
 
     for module in (noncrossing, trees):
         monkeypatch.setattr(module, "_segment", segment_spy, raising=False)
@@ -587,61 +555,73 @@ def test_solve_ncst_works_out_each_point_pair_once(seed, monkeypatch):
         build_Tb(pts, i, j)
     anchored_calls = len(calls)
     built.clear()
+    shared.clear()
     calls.clear()
+    monkeypatch.setattr(noncrossing, "is_noncrossing", is_noncrossing_spy)
     rep = solve_ncst(pts)
     assert rep.metrics["guesses_tried"] == len(guesses) == 100
-    assert len(built) == 190 and max(built.values()) <= 3
+    assert len(built) == 190 and set(shared.values()) <= {1}
+    assert built.total() - shared.total() == 19 * len(checks)
     assert len(calls) == anchored_calls
 
 
-def test_solve_ncst_scans_each_distinct_candidate_once(monkeypatch):
-    # A crossing verdict depends only on the points and the edge set, so one
-    # solve scans each distinct candidate tree once, whatever its kind: stars
-    # through is_noncrossing, anchored trees through _crossing_scan.
-    def check(pts):
-        guesses = solve_ncst_reference(pts)["guesses"]
-        built = [b(pts, i, j).tree for i, j in guesses for b in (build_Ta, build_Tb)]
-        stars = {star(pts, c).edges for c in range(len(pts))}
-        anchored = {t.edges for t in built if t is not None}
-        scans = {"star": Counter(), "anchored": Counter()}
-        # an anchored tree's scan gets only the edges placed before its
-        # middle sweep, so each scan is keyed by the tree that placed them
-        owner, build = {}, noncrossing._anchored_tree
-
-        def anchored_spy(*args):
-            tree, scan = build(*args)
-            if tree is not None:
-                owner[id(scan[0])] = scan[0], tree.edges
-            return tree, scan
-
-        def scan_spy(edges, segment):
-            placed, tree_edges = owner[id(edges)]
-            assert placed is edges
-            scans["anchored"][tree_edges] += 1
-            return trees._crossing_scan(edges, segment)
-
-        def is_noncrossing_spy(tree, points):
-            scans["star"][tree.edges] += 1
-            return trees.is_noncrossing(tree, points)
-
-        with monkeypatch.context() as m:
-            m.setattr(noncrossing, "_anchored_tree", anchored_spy)
-            m.setattr(noncrossing, "_crossing_scan", scan_spy)
-            m.setattr(noncrossing, "is_noncrossing", is_noncrossing_spy)
-            solve_ncst(pts)
-        assert set(scans["star"]) == stars and set(scans["anchored"]) == anchored - stars
-        assert {*scans["star"].values(), *scans["anchored"].values()} == {1}
-        return anchored, len(built)
-
+def _gate_corpus():
     for seed in (1, 2, 3):
-        # two-cluster input repeats anchored trees: 200 built, far fewer distinct
-        anchored, built = check(generate(GenSpec("two_cluster", 20, seed, epsilon=1e-6)))
-        assert built == 200 > 2 * len(anchored)
-    # T_a of (0, 1) is the star at 0, which takes the star's verdict: the
-    # check above finds its scan among the stars' and not the anchored trees'
-    pts = [(0.0, 0.0), (1.0, 0.0), (0.9, 0.1), (0.95, -0.2)]
-    anchored, _ = check(pts)
-    assert build_Ta(pts, 0, 1).tree.edges == star(pts, 0).edges and star(pts, 0).edges in anchored
+        yield f"two_cluster{seed}", generate(GenSpec("two_cluster", 20, seed, epsilon=1e-6))
+    yield "uniform", generate(GenSpec("uniform_square", 32, 1))
+    rng = random.Random(7)
+    cells = [(x / 5, y / 5) for x in range(6) for y in range(6)]
+    yield "lattice_mix", rng.sample(cells, 8) + [(rng.random(), rng.random()) for _ in range(12)]
+    yield "collinear", [(3 * t, -2 * t) for t in (0, 4, 1, 7, 2, 5)]
+
+
+@pytest.mark.parametrize("name, pts", list(_gate_corpus()), ids=[k for k, _ in _gate_corpus()])
+def test_solve_ncst_checks_a_candidate_only_when_it_could_win(name, pts, monkeypatch):
+    # Every star is checked, once; a later candidate (the path, every T_a,
+    # every T_b, in tie order) is checked if and only if it is strictly
+    # longer than the winner at that point.  The candidates come from the
+    # public builders and is_noncrossing decides them.
+    n = len(pts)
+
+    def valid(tree):
+        try:
+            return is_noncrossing(tree, pts)[0]
+        except ValueError:
+            return False
+
+    stars = [star(pts, c) for c in range(n)]
+    iu, iv = diametral_pair(pts)
+    path = [noncrossing._monotone_path(pts, iu, iv)] if all(
+        orientation(pts[iu], pts[iv], p) == 0 for p in pts) else []
+    guesses = solve_ncst_reference(pts)["guesses"]
+    anchored = [t for b in (build_Ta, build_Tb) for i, j in guesses
+                if (t := b(pts, i, j).tree) is not None]
+    want, best = [], -1.0
+    for k, tree in enumerate(stars + path + anchored):
+        length = tree_length(tree, pts)
+        if k < n or length > best:
+            want.append(tree.edges)
+            if valid(tree) and length > best:
+                best = length
+    checked = []
+
+    def is_noncrossing_spy(tree, points):
+        checked.append(tree.edges)
+        return is_noncrossing(tree, points)
+
+    monkeypatch.setattr(noncrossing, "is_noncrossing", is_noncrossing_spy)
+    rep = solve_ncst(pts)
+    assert checked == want and rep.length == best
+    assert checked[:n] == [t.edges for t in stars]
+    later = len(checked) - n
+    if name.startswith("two_cluster"):
+        assert 0 < later < len({t.edges for t in anchored})
+    elif name == "lattice_mix":
+        assert not all(map(valid, stars))
+    elif name == "collinear":
+        assert checked[n] == path[0].edges and rep.candidate == "path"
+    # the gate skips a later candidate, except the collinear set's one, the path
+    assert later < len(path + anchored) or name == "collinear"
 
 
 def test_solve_ncst_keeps_the_first_of_tied_candidates():
