@@ -9,7 +9,11 @@ points greedily to visible wedge endpoints).  Every builder makes a spanning
 tree by construction, so is_noncrossing's exact crossing check validates
 each candidate, and the reported tree is always a noncrossing spanning tree.
 A solve checks every star, and a later candidate only when it is strictly
-longer than the best valid tree so far, since no other can win.
+longer than the best valid tree so far, since no other can win.  The
+anchored trees work out per guess only what depends on the guess (the
+frame, the strips, the angles and the sweeps); each point's distance row
+and coordinate offsets come from one row source per solve, and a Tree is
+made only for a candidate that is checked.
 """
 
 from __future__ import annotations
@@ -17,15 +21,16 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
+from operator import add, mul, sub
 from typing import Callable, NamedTuple, Sequence
 
 from .geometry import (
-    _check_length_bound, _dist_row, _farthest_pair, _first_crossing, _floats, as_points, dist,
+    _check_length_bound, _dist_row, _farthest_pair, _first_crossing, _floats, as_points,
     orientation,
 )
 from .report import SolveReport
-from .trees import Tree, _shared_segments, is_noncrossing, star
+from .trees import Tree, _shared_segments, is_noncrossing
 
 DELTA_NONCROSSING = 0.519
 STRIP_OMEGA = 0.16
@@ -124,32 +129,54 @@ def ncst_label(da: float, db: float, strip: str, params: NcstParams) -> PointLab
     )
 
 
-def _strip_split(points: Sequence[Sequence[float]], a: int, b: int) -> tuple:
+def _rows(points: Sequence[Sequence[float]]) -> Callable[[int], tuple[list, list, list]]:
+    # row(i): the distances |p_i p_k|, as by dist, from point i to every
+    # point k, and the coordinate offsets p_k - p_i, built once per i: the
+    # one row source of the strip split, the anchored trees and solve_ncst's
+    # distance table
+    floats = _floats(points)
+    xs, ys = [p[0] for p in points], [p[1] for p in points]
+    built = {}
+
+    def row(i: int) -> tuple[list, list, list]:
+        if (r := built.get(i)) is None:
+            r = built[i] = (_dist_row(points, points[i], floats),
+                            list(map(sub, xs, repeat(xs[i]))), list(map(sub, ys, repeat(ys[i]))))
+        return r
+
+    return row
+
+
+def _strip_split(
+    points: Sequence[Sequence[float]], a: int, b: int, row: Callable[[int], tuple],
+) -> tuple:
     """|ab|, every point's coordinates in the frame of the guess, measured
-    from a (x along the unit vector from a to b, y across it), and its
-    strip: "left" for x < omega*|ab|, "right" for x > (1 - omega)*|ab|,
-    "middle" between, the strip lines included.  Below _STRIP_MIN_AB the
-    frame is that of the offsets from a scaled by a power of two, so that
-    the strip lines stay apart.  The one check of a guess: raises
-    ValueError when a or b is out of range or the two points coincide."""
+    from a (x along the unit vector from a to b, y across it), and the
+    indices of the points in each strip, in index order: left for
+    x < omega*|ab|, right for x > (1 - omega)*|ab|, middle between, the
+    strip lines included.  row is a row source of the points (see _rows).
+    Below _STRIP_MIN_AB the frame is that of the offsets from a scaled by a
+    power of two, so that the strip lines stay apart.  The one check of a
+    guess: raises ValueError when a or b is out of range or the two points
+    coincide."""
     for k in (a, b):
         if not 0 <= k < len(points):
             raise ValueError(f"guess index {k} out of range for {len(points)} points")
-    pa, pb = points[a], points[b]
-    ab = unit = dist(pa, pb)
+    d, dx, dy = row(a)
+    ab = unit = d[b]
     if ab == 0.0:
         raise ValueError("guess points coincide")
     if ab < _STRIP_MIN_AB:
-        off = [(p[0] - pa[0], p[1] - pa[1]) for p in points]
-        e = min(math.frexp(max(abs(c) for o in off for c in o))[1], 0)
-        points = [(math.ldexp(dx, -e), math.ldexp(dy, -e)) for dx, dy in off]
-        pa, pb = points[a], points[b]
-        unit = dist(pa, pb)
-    ux, uy = (pb[0] - pa[0]) / unit, (pb[1] - pa[1]) / unit
+        e = min(math.frexp(max(map(abs, chain(dx, dy))))[1], 0)
+        dx, dy = [math.ldexp(c, -e) for c in dx], [math.ldexp(c, -e) for c in dy]
+        unit = math.hypot(dx[b], dy[b])
+    ux, uy = dx[b] / unit, dy[b] / unit
     l1, l2 = STRIP_OMEGA * unit, (1.0 - STRIP_OMEGA) * unit
-    xs = [(p[0] - pa[0]) * ux + (p[1] - pa[1]) * uy for p in points]
-    ys = [-(p[0] - pa[0]) * uy + (p[1] - pa[1]) * ux for p in points]
-    strips = ["left" if x < l1 else ("right" if x > l2 else "middle") for x in xs]
+    xs = list(map(add, map(mul, dx, repeat(ux)), map(mul, dy, repeat(uy))))
+    ys = list(map(sub, map(mul, dy, repeat(ux)), map(mul, dx, repeat(uy))))
+    strips = left, middle, right = [], [], []
+    for k, x in enumerate(xs):
+        (left if x < l1 else right if x > l2 else middle).append(k)
     return ab, xs, ys, strips
 
 
@@ -161,17 +188,18 @@ def classify_points(points: Sequence[Sequence[float]], a: int, b: int) -> Region
     projects onto the ab direction; points on a strip line count as middle.
     """
     points = as_points(points)
-    ab, _, _, strips = _strip_split(points, a, b)
+    row = _rows(points)
+    ab, _, _, strips = _strip_split(points, a, b, row)
     params = ncst_params(ab)
-    pa, pb = points[a], points[b]
+    strip = {k: name for name, part in zip(("left", "middle", "right"), strips) for k in part}
     labels = tuple(
-        ncst_label(dist(p, pa), dist(p, pb), strip, params)
-        for p, strip in zip(points, strips)
+        ncst_label(da, db, strip[k], params)
+        for k, (da, db) in enumerate(zip(row(a)[0], row(b)[0]))
     )
     n = len(points)
     alpha = sum(1 for lab in labels if lab.in_L and not lab.in_E2) / n
     beta = sum(1 for lab in labels if lab.in_M) / n
-    beta_prime = sum(1 for lab in labels if lab.strip == "middle") / n
+    beta_prime = len(strips[1]) / n
     return RegionClassifier(params, labels, alpha, beta, beta_prime)
 
 
@@ -190,11 +218,12 @@ class NcstCandidate:
 
 
 def _candidate(
-    points: Sequence[Sequence[float]], tree: Tree | None, tag: str,
+    points: Sequence[Sequence[float]], edges: Sequence[tuple[int, int]] | None, tag: str,
     guess: tuple[int, int] | None = None, center: int | None = None,
 ) -> NcstCandidate:
     # Builders span by construction, so is_noncrossing is the one check; a
     # failed construction or a zero-length edge (equal points) rejects.
+    tree = None if edges is None else Tree(len(points), tuple(edges))
     try:
         ok = tree is not None and is_noncrossing(tree, points)[0]
     except ValueError:
@@ -203,9 +232,11 @@ def _candidate(
 
 
 def _anchored_tree(
-    points: Sequence[Sequence[float]], root: int, far: int, segment: Callable[[int, int], tuple],
-) -> Tree | None:
-    """Three-sweep construction anchored at `root` with mate `far`, or None.
+    points: Sequence[Sequence[float]], root: int, far: int, row: Callable[[int], tuple],
+    segment: Callable[[int, int], tuple],
+) -> list[tuple[int, int]] | None:
+    """The edges of the three-sweep construction anchored at `root` with
+    mate `far`, or None.
 
     Sweep 1 connects every right-strip point (beyond the far strip line) to
     the root; these spokes, in angular order, partition the plane into
@@ -213,24 +244,29 @@ def _anchored_tree(
     its wedge (points on the axis count as below it).  Sweep 3 walks the
     middle-strip points in increasing angle and attaches each to the
     farthest visible wedge endpoint, falling back to the nearest visible
-    tree vertex; an unattachable point aborts the construction.  Every
-    segment comes from segment(i, j), which a solve shares across trees.
+    tree vertex; an unattachable point aborts the construction.  Only the
+    frame, the strips, the angles and the sweeps are worked out per guess:
+    every distance (the sort keys of the spokes, of a middle point's wedge
+    endpoints and of its fallback) and the root's offsets come from the row
+    source row (see _rows), and every segment from segment(i, j); a solve
+    shares both across its trees.  The edges come back as built, unsorted,
+    so that a caller makes a Tree only for a tree it checks.
     """
-    _, xs, ys, strips = _strip_split(points, root, far)
-    # every point's angle about the root from the direction of far, in [-pi, pi)
-    theta = [-math.pi if th == math.pi else th for th in map(math.atan2, ys, xs)]
-
-    # each strip's points in index order, so stable sorts break ties by index
-    left, middle, right = (
-        [k for k, s in enumerate(strips) if s == name and k != root]
-        for name in ("left", "middle", "right")
-    )
+    _, xs, ys, (left, middle, right) = _strip_split(points, root, far, row)
     # Reached when |ab| is subnormal and a point lies 1/2 or more away:
     # _strip_split keeps the frame, and the strip lines round together.
     if far not in right:
         return None
+    # the root, at x = 0, is left of the near strip line, or on it when the
+    # strip lines round together
+    (left if root in left else middle).remove(root)
+    # every point's angle about the root from the direction of far, in [-pi, pi)
+    theta = list(map(math.atan2, ys, xs))
+    if math.pi in theta:
+        theta = [-math.pi if th == math.pi else th for th in theta]
 
-    spokes = sorted(right, key=lambda k: (theta[k], dist(points[root], points[k])))
+    dr = row(root)[0]
+    spokes = sorted(right, key=lambda k: (theta[k], dr[k]))
     spoke_angles = [theta[k] for k in spokes]
     edges = [(root, k) for k in spokes]
     attached = [root] + spokes
@@ -250,34 +286,36 @@ def _anchored_tree(
         return s[0] != s[1] and _first_crossing(s, segs) < 0
 
     for k in sorted(middle, key=theta.__getitem__):
-        p = points[k]
+        dk = row(k)[0]
         i = wedge_index(theta[k])
         cands = {spokes[i], root}
         if i + 1 < len(spokes) and theta[k] >= spoke_angles[0]:
             cands.add(spokes[i + 1])
-        ordered = sorted(cands, key=lambda w: (-dist(p, points[w]), w))
+        ordered = sorted(cands, key=lambda w: (-dk[w], w))
         target = next((w for w in ordered if visible(k, w)), None)
         if target is None:
-            fallback = sorted(attached, key=lambda w: (dist(p, points[w]), w))
+            fallback = sorted(attached, key=lambda w: (dk[w], w))
             target = next((w for w in fallback if visible(k, w)), None)
         if target is None:
             return None
         edges.append((target, k))
         segs.append(segment(target, k))
         attached.append(k)
-    return Tree(len(points), tuple(edges))
+    return edges
 
 
 def build_Ta(points: Sequence[Sequence[float]], a: int, b: int) -> NcstCandidate:
     """Anchored tree for guess (a, b) rooted at a, over as_points(points)."""
-    seg = _shared_segments(pts := as_points(points))
-    return _candidate(pts, _anchored_tree(pts, a, b, seg), "Ta", (a, b))
+    pts = as_points(points)
+    return _candidate(pts, _anchored_tree(pts, a, b, _rows(pts), _shared_segments(pts)),
+                      "Ta", (a, b))
 
 
 def build_Tb(points: Sequence[Sequence[float]], a: int, b: int) -> NcstCandidate:
     """Mirror construction rooted at b (same sweeps, reversed axis)."""
-    seg = _shared_segments(pts := as_points(points))
-    return _candidate(pts, _anchored_tree(pts, b, a, seg), "Tb", (a, b))
+    pts = as_points(points)
+    return _candidate(pts, _anchored_tree(pts, b, a, _rows(pts), _shared_segments(pts)),
+                      "Tb", (a, b))
 
 
 def _monotone_path(points: Sequence[Sequence[float]], iu: int, iv: int) -> Tree:
@@ -300,22 +338,26 @@ def solve_ncst(points: Sequence[Sequence[float]], prune: bool = True) -> SolveRe
     Pruning skips guesses shorter than d * diameter, which the stars cover.
     Ties keep the earliest candidate in the order stars (by center), path,
     every T_a, then every T_b (each by lexicographic guess).  Each call
-    works out every point pair once: one table of n^2 distances for the
-    guess filter and the lengths, and one segment per pair, on first use,
-    for all the anchored trees.  Raises ValueError when (n - 1) * diameter
+    works out every point pair once: one table of n^2 distances, from the
+    row source _rows, for the guess filter, the lengths and the anchored
+    trees' sort keys, and one segment per pair, on first use, for all the
+    anchored trees.  Each point's offsets to the others are taken once, the
+    first time it roots an anchored tree.  A candidate's length is the
+    math.fsum of its edges' table entries, so its Tree is made only when
+    the gate checks it.  Raises ValueError when (n - 1) * diameter
     overflows a double.
     """
     n = len(points)
     if n < 2:
         raise ValueError("need at least two points")
     pts = as_points(points)
-    floats = _floats(pts)
-    (iu, iv), diam, _ = _farthest_pair(pts, range(n), floats)
+    (iu, iv), diam, _ = _farthest_pair(pts, range(n))
     if diam == 0.0:
         raise ValueError("all points coincide")
     _check_length_bound(n - 1, diam)
 
-    rows = [_dist_row(pts, p, floats) for p in pts]  # rows[i][j] is dist(pts[i], pts[j])
+    row = _rows(pts)
+    rows = [row(i)[0] for i in range(n)]  # rows[i][j] is dist(pts[i], pts[j])
     threshold = ncst_params(1.0).d * diam * (1.0 - 1e-12)
     guesses = [
         (i, j) for i in range(n) for j in range(i + 1, n)
@@ -325,19 +367,19 @@ def solve_ncst(points: Sequence[Sequence[float]], prune: bool = True) -> SolveRe
     collinear = all(orientation(pts[iu], pts[iv], p) == 0 for p in pts)
     seg = _shared_segments(pts)  # one per point pair for every anchored tree
     candidates = chain(
-        ((star(pts, c), "star", None, c) for c in range(n)),
-        [(_monotone_path(pts, iu, iv), "path", None, None)] if collinear else [],
-        ((_anchored_tree(pts, i, j, seg), "Ta", (i, j), None) for i, j in guesses),
-        ((_anchored_tree(pts, j, i, seg), "Tb", (i, j), None) for i, j in guesses),
+        (([(c, k) for k in range(n) if k != c], "star", None, c) for c in range(n)),  # as by star
+        [(_monotone_path(pts, iu, iv).edges, "path", None, None)] if collinear else [],
+        ((_anchored_tree(pts, i, j, row, seg), "Ta", (i, j), None) for i, j in guesses),
+        ((_anchored_tree(pts, j, i, row, seg), "Tb", (i, j), None) for i, j in guesses),
     )
     winner, winner_len = None, -1.0
-    for tree, *kind in candidates:  # in tie order: only a strictly longer tree wins
-        if tree is None:
+    for edges, *kind in candidates:  # in tie order: only a strictly longer tree wins
+        if edges is None:
             continue
-        length = math.fsum(rows[i][j] for i, j in tree.edges)  # as tree_length
+        length = math.fsum(rows[i][j] for i, j in edges)  # as tree_length
         # every star is checked whatever its length; gating them too is a ROADMAP item
         if length > winner_len or kind[0] == "star":
-            cand = _candidate(pts, tree, *kind)
+            cand = _candidate(pts, edges, *kind)
             if cand.noncrossing and length > winner_len:
                 winner, winner_len = cand, length
     if winner is None:

@@ -1,13 +1,16 @@
+import hashlib
 import math
 import random
 from collections import Counter
+from itertools import chain
 
 import pytest
 
 from longspan import noncrossing, oracles, trees
-from longspan.geometry import _segment, diametral_pair, dist, orientation
+from longspan.geometry import _dist_row, _segment, diametral_pair, dist, orientation
 from longspan.instances import GenSpec, generate
 from longspan.noncrossing import (
+    _rows,
     _strip_split,
     build_Ta,
     build_Tb,
@@ -163,9 +166,13 @@ def test_strip_split_keeps_subnormal_strip_lines_apart():
     assert build_Ta([(0.0, 0.0), (5e-324, 0.0)], 0, 1).tree.edges == ((0, 1),)
     pts = [(0.0, 0.0), (40.0, 0.0), (3.0, 5.0), (20.0, -7.0), (38.0, 9.0), (6.0, -2.0), (33.0, 1.0)]
     tiny = [(math.ldexp(x, -1074), math.ldexp(y, -1074)) for x, y in pts]
-    assert _strip_split(tiny, 0, 1)[3] == _strip_split(pts, 0, 1)[3]
+    assert _strip_split(tiny, 0, 1, _rows(tiny))[3] == _strip_split(pts, 0, 1, _rows(pts))[3]
     for build in (build_Ta, build_Tb):
         assert build(tiny, 0, 1).tree == build(pts, 0, 1).tree
+    for prune in (True, False):
+        got, want = solve_ncst(tiny, prune), solve_ncst(pts, prune)
+        assert (got.candidate, got.guess, got.tree) == (want.candidate, want.guess, want.tree)
+        assert (want.candidate, want.guess) == ("Ta", (0, 1))
 
 
 @pytest.mark.parametrize("x, stars", [(1.0, ((0, 1), (1, 2))), (-1.0, ((0, 1), (0, 2)))])
@@ -174,7 +181,7 @@ def test_anchored_trees_abort_when_subnormal_strip_lines_collapse(x, stars):
     # frame, the strip lines round onto a and b, and the mate lands in the
     # middle strip, so there is no spoke to hang the other points from
     pts = [(0.0, 0.0), (5e-324, 0.0), (x, 0.0)]
-    assert _strip_split(pts, 0, 1)[3][1] == "middle"
+    assert 1 in _strip_split(pts, 0, 1, _rows(pts))[3][1]  # the middle strip
     for build in (build_Ta, build_Tb):
         cand = build(pts, 0, 1)
         assert (cand.tree, cand.noncrossing) == (None, False)
@@ -516,17 +523,49 @@ def test_solve_ncst_matches_its_public_builders(pts, prune):
         assert got == {k: v for k, v in want.items() if k != "guesses"}, e
 
 
+# recorded before the anchored trees were built per root; the same at
+# every scale, since each scaling is exact and every decision is too
+_ANCHORED_DIGESTS = {
+    "reference": "19a8879f7ddb0538b8ae8f8c946abc2ccc5d73929e94d832e4ffcf94cc24a01d",
+    "verdict": "a75e05a5d88299a36a79cc28921449ab5dbe3c8b9c6811bfddca2d2e0777b882",
+}
+
+
+@pytest.mark.parametrize("e", [0, 500, -500])
+@pytest.mark.parametrize("corpus", ["reference", "verdict"])
+def test_anchored_trees_are_pinned(corpus, e):
+    # every T_a and T_b of the corpus scaled by 2^e, as (tag, guess, edges
+    # or None, verdict): a change to the construction that keeps the
+    # outputs keeps the corpus's digest
+    sets = _reference_corpus() if corpus == "reference" else _verdict_corpus()
+    h = hashlib.sha256()
+    for _, pts in sets:
+        n = len(pts)
+        scaled = [(math.ldexp(x, e), math.ldexp(y, e)) for x, y in pts] if e else pts
+        for i, j in ((i, j) for i in range(n) for j in range(i + 1, n) if pts[i] != pts[j]):
+            for cand in (build_Ta(scaled, i, j), build_Tb(scaled, i, j)):
+                edges = None if cand.tree is None else cand.tree.edges
+                h.update(repr((cand.tag, cand.guess, edges, cand.noncrossing)).encode())
+    assert h.hexdigest() == _ANCHORED_DIGESTS[corpus]
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_solve_ncst_works_out_each_point_pair_once(seed, monkeypatch):
     # The anchored trees share one segment source, which builds each pair at
-    # most once (none here: two-cluster input has no middle-strip point to
-    # probe with); is_noncrossing builds its own n - 1 segments per checked
-    # candidate, and every pair is an edge of a star.  The guess filter and
-    # the lengths read the distance table, so every dist call left is one
-    # that the anchored trees make.
-    pts = generate(GenSpec("two_cluster", 20, seed, epsilon=1e-6))
-    guesses = solve_ncst_reference(pts)["guesses"]
-    built, shared, calls, checks, scanning = Counter(), Counter(), [], [], []
+    # most once; is_noncrossing builds its own n - 1 segments per checked
+    # candidate, and every pair is an edge of a star.  One table of n
+    # distance rows serves the guess filter, the lengths and the anchored
+    # trees' sort keys, so no candidate calls dist.  Two-cluster input has
+    # no middle-strip point and so probes no segment; the uniform and
+    # lattice sets do.
+    rng = random.Random(seed)
+    cells = [(x / 5, y / 5) for x in range(6) for y in range(6)]
+    sets = {
+        "two_cluster": generate(GenSpec("two_cluster", 20, seed, epsilon=1e-6)),
+        "uniform": generate(GenSpec("uniform_square", 32, seed)),
+        "lattice_mix": rng.sample(cells, 8) + [(rng.random(), rng.random()) for _ in range(12)],
+    }
+    built, shared, calls, rows, checks, scanning = Counter(), Counter(), [], [], [], []
 
     def segment_spy(p, q):
         pair = frozenset((tuple(p), tuple(q)))
@@ -539,6 +578,10 @@ def test_solve_ncst_works_out_each_point_pair_once(seed, monkeypatch):
         calls.append((p, q))
         return dist(p, q)
 
+    def dist_row_spy(points, origin, floats):
+        rows.append(origin)
+        return _dist_row(points, origin, floats)
+
     def is_noncrossing_spy(tree, points):
         checks.append(tree)
         scanning.append(tree)
@@ -549,20 +592,21 @@ def test_solve_ncst_works_out_each_point_pair_once(seed, monkeypatch):
 
     for module in (noncrossing, trees):
         monkeypatch.setattr(module, "_segment", segment_spy, raising=False)
-        monkeypatch.setattr(module, "dist", dist_spy)
-    for i, j in guesses:
-        build_Ta(pts, i, j)
-        build_Tb(pts, i, j)
-    anchored_calls = len(calls)
-    built.clear()
-    shared.clear()
-    calls.clear()
+        monkeypatch.setattr(module, "dist", dist_spy, raising=False)
+    monkeypatch.setattr(noncrossing, "_dist_row", dist_row_spy)
     monkeypatch.setattr(noncrossing, "is_noncrossing", is_noncrossing_spy)
-    rep = solve_ncst(pts)
-    assert rep.metrics["guesses_tried"] == len(guesses) == 100
-    assert len(built) == 190 and set(shared.values()) <= {1}
-    assert built.total() - shared.total() == 19 * len(checks)
-    assert len(calls) == anchored_calls
+    for name, pts in sets.items():
+        n = len(pts)
+        for spied in (built, shared, calls, rows, checks):
+            spied.clear()
+        rep = solve_ncst(pts)
+        assert len(built) == n * (n - 1) // 2 and set(shared.values()) <= {1}
+        assert built.total() - shared.total() == (n - 1) * len(checks)
+        assert calls == [] and len(rows) == n, name
+        if name == "two_cluster":
+            assert rep.metrics["guesses_tried"] == 100 and not shared
+        else:
+            assert shared, name
 
 
 def _gate_corpus():
