@@ -16,7 +16,7 @@ from typing import Iterator
 from .geometry import dist
 from .instances import SplitMix64
 from .neighborhoods import DELTA_NEIGHBORHOOD, stnb_label, stnb_params
-from .noncrossing import DELTA_NONCROSSING, NcstParams, _rows, _strip_split, ncst_label, ncst_params
+from .noncrossing import DELTA_NONCROSSING, STRIP_OMEGA, NcstParams, ncst_label, ncst_params
 
 
 def lf_length() -> float:
@@ -120,8 +120,9 @@ def triple_samples(rng: SplitMix64, analysis: str, count: int) -> Iterator[tuple
                 ab = rng.uniform(d, 1.0)
                 a, b = (0.0, 0.0), (ab, 0.0)
                 q = (rng.uniform(ab - 1.0, 1.0), rng.uniform(-1.0, 1.0))
-                left, middle, _ = _strip_split((a, b, q), 0, 1, _rows((a, b, q)))[3]
-                strip = "left" if 2 in left else "middle" if 2 in middle else "right"
+                # _strip_split's rule in this frame, where q's x is q[0]
+                x, l1, l2 = q[0], STRIP_OMEGA * ab, (1.0 - STRIP_OMEGA) * ab
+                strip = "left" if x < l1 else "right" if x > l2 else "middle"
                 in_q = ncst_label(dist(q, a), dist(q, b), strip, ncst_params(ab)).in_Q
             if in_q:
                 break

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, repeat
 from operator import add, mul, sub
 from typing import Callable, NamedTuple, Sequence
@@ -30,7 +31,7 @@ from .geometry import (
     orientation,
 )
 from .report import SolveReport
-from .trees import Tree, _shared_segments, is_noncrossing
+from .trees import Tree, _shared_segments, is_noncrossing, star
 
 DELTA_NONCROSSING = 0.519
 STRIP_OMEGA = 0.16
@@ -129,43 +130,48 @@ def ncst_label(da: float, db: float, strip: str, params: NcstParams) -> PointLab
     )
 
 
-def _rows(points: Sequence[Sequence[float]]) -> Callable[[int], tuple[list, list, list]]:
+def _rows(
+    points: Sequence[Sequence[float]],
+) -> tuple[Callable[[int], list[float]], Callable[[int], tuple]]:
     # row(i): the distances |p_i p_k|, as by dist, from point i to every
-    # point k, and the coordinate offsets p_k - p_i, built once per i: the
-    # one row source of the strip split, the anchored trees and solve_ncst's
-    # distance table
+    # point k; offsets(i): the coordinate offsets p_k - p_i, as two lists.
+    # Each is built once per i, on first use: the one row source of the
+    # strip split, the anchored trees and solve_ncst's distance table, which
+    # takes every row but the offsets only of the points that root a tree
     floats = _floats(points)
     xs, ys = [p[0] for p in points], [p[1] for p in points]
-    built = {}
 
-    def row(i: int) -> tuple[list, list, list]:
-        if (r := built.get(i)) is None:
-            r = built[i] = (_dist_row(points, points[i], floats),
-                            list(map(sub, xs, repeat(xs[i]))), list(map(sub, ys, repeat(ys[i]))))
-        return r
+    @cache
+    def row(i: int) -> list[float]:
+        return _dist_row(points, points[i], floats)
 
-    return row
+    @cache
+    def offsets(i: int) -> tuple[list[float], list[float]]:
+        return list(map(sub, xs, repeat(xs[i]))), list(map(sub, ys, repeat(ys[i])))
+
+    return row, offsets
 
 
 def _strip_split(
-    points: Sequence[Sequence[float]], a: int, b: int, row: Callable[[int], tuple],
+    points: Sequence[Sequence[float]], a: int, b: int,
+    row: Callable[[int], list[float]], offsets: Callable[[int], tuple],
 ) -> tuple:
     """|ab|, every point's coordinates in the frame of the guess, measured
     from a (x along the unit vector from a to b, y across it), and the
     indices of the points in each strip, in index order: left for
     x < omega*|ab|, right for x > (1 - omega)*|ab|, middle between, the
-    strip lines included.  row is a row source of the points (see _rows).
-    Below _STRIP_MIN_AB the frame is that of the offsets from a scaled by a
-    power of two, so that the strip lines stay apart.  The one check of a
-    guess: raises ValueError when a or b is out of range or the two points
-    coincide."""
+    strip lines included.  row and offsets are the points' row source (see
+    _rows).  Below _STRIP_MIN_AB the frame is that of the offsets from a
+    scaled by a power of two, so that the strip lines stay apart.  The one
+    check of a guess: raises ValueError when a or b is out of range or the
+    two points coincide."""
     for k in (a, b):
         if not 0 <= k < len(points):
             raise ValueError(f"guess index {k} out of range for {len(points)} points")
-    d, dx, dy = row(a)
-    ab = unit = d[b]
+    ab = unit = row(a)[b]
     if ab == 0.0:
         raise ValueError("guess points coincide")
+    dx, dy = offsets(a)
     if ab < _STRIP_MIN_AB:
         e = min(math.frexp(max(map(abs, chain(dx, dy))))[1], 0)
         dx, dy = [math.ldexp(c, -e) for c in dx], [math.ldexp(c, -e) for c in dy]
@@ -188,13 +194,13 @@ def classify_points(points: Sequence[Sequence[float]], a: int, b: int) -> Region
     projects onto the ab direction; points on a strip line count as middle.
     """
     points = as_points(points)
-    row = _rows(points)
-    ab, _, _, strips = _strip_split(points, a, b, row)
+    row, offsets = _rows(points)
+    ab, _, _, strips = _strip_split(points, a, b, row, offsets)
     params = ncst_params(ab)
     strip = {k: name for name, part in zip(("left", "middle", "right"), strips) for k in part}
     labels = tuple(
         ncst_label(da, db, strip[k], params)
-        for k, (da, db) in enumerate(zip(row(a)[0], row(b)[0]))
+        for k, (da, db) in enumerate(zip(row(a), row(b)))
     )
     n = len(points)
     alpha = sum(1 for lab in labels if lab.in_L and not lab.in_E2) / n
@@ -218,12 +224,14 @@ class NcstCandidate:
 
 
 def _candidate(
-    points: Sequence[Sequence[float]], edges: Sequence[tuple[int, int]] | None, tag: str,
+    points: Sequence[Sequence[float]], tree: Tree | list[tuple[int, int]] | None, tag: str,
     guess: tuple[int, int] | None = None, center: int | None = None,
 ) -> NcstCandidate:
     # Builders span by construction, so is_noncrossing is the one check; a
-    # failed construction or a zero-length edge (equal points) rejects.
-    tree = None if edges is None else Tree(len(points), tuple(edges))
+    # failed construction or a zero-length edge (equal points) rejects.  An
+    # anchored tree comes as its raw edges, and its Tree is made here.
+    if isinstance(tree, list):
+        tree = Tree(len(points), tuple(tree))
     try:
         ok = tree is not None and is_noncrossing(tree, points)[0]
     except ValueError:
@@ -232,8 +240,8 @@ def _candidate(
 
 
 def _anchored_tree(
-    points: Sequence[Sequence[float]], root: int, far: int, row: Callable[[int], tuple],
-    segment: Callable[[int, int], tuple],
+    points: Sequence[Sequence[float]], root: int, far: int, row: Callable[[int], list[float]],
+    offsets: Callable[[int], tuple], segment: Callable[[int, int], tuple],
 ) -> list[tuple[int, int]] | None:
     """The edges of the three-sweep construction anchored at `root` with
     mate `far`, or None.
@@ -248,11 +256,12 @@ def _anchored_tree(
     frame, the strips, the angles and the sweeps are worked out per guess:
     every distance (the sort keys of the spokes, of a middle point's wedge
     endpoints and of its fallback) and the root's offsets come from the row
-    source row (see _rows), and every segment from segment(i, j); a solve
-    shares both across its trees.  The edges come back as built, unsorted,
-    so that a caller makes a Tree only for a tree it checks.
+    source row and offsets (see _rows), and every segment from
+    segment(i, j); a solve shares both across its trees.  The edges come
+    back as built, unsorted, so that a caller makes a Tree only for a tree
+    it checks.
     """
-    _, xs, ys, (left, middle, right) = _strip_split(points, root, far, row)
+    _, xs, ys, (left, middle, right) = _strip_split(points, root, far, row, offsets)
     # Reached when |ab| is subnormal and a point lies 1/2 or more away:
     # _strip_split keeps the frame, and the strip lines round together.
     if far not in right:
@@ -265,7 +274,7 @@ def _anchored_tree(
     if math.pi in theta:
         theta = [-math.pi if th == math.pi else th for th in theta]
 
-    dr = row(root)[0]
+    dr = row(root)
     spokes = sorted(right, key=lambda k: (theta[k], dr[k]))
     spoke_angles = [theta[k] for k in spokes]
     edges = [(root, k) for k in spokes]
@@ -286,7 +295,7 @@ def _anchored_tree(
         return s[0] != s[1] and _first_crossing(s, segs) < 0
 
     for k in sorted(middle, key=theta.__getitem__):
-        dk = row(k)[0]
+        dk = row(k)
         i = wedge_index(theta[k])
         cands = {spokes[i], root}
         if i + 1 < len(spokes) and theta[k] >= spoke_angles[0]:
@@ -307,14 +316,14 @@ def _anchored_tree(
 def build_Ta(points: Sequence[Sequence[float]], a: int, b: int) -> NcstCandidate:
     """Anchored tree for guess (a, b) rooted at a, over as_points(points)."""
     pts = as_points(points)
-    return _candidate(pts, _anchored_tree(pts, a, b, _rows(pts), _shared_segments(pts)),
+    return _candidate(pts, _anchored_tree(pts, a, b, *_rows(pts), _shared_segments(pts)),
                       "Ta", (a, b))
 
 
 def build_Tb(points: Sequence[Sequence[float]], a: int, b: int) -> NcstCandidate:
     """Mirror construction rooted at b (same sweeps, reversed axis)."""
     pts = as_points(points)
-    return _candidate(pts, _anchored_tree(pts, b, a, _rows(pts), _shared_segments(pts)),
+    return _candidate(pts, _anchored_tree(pts, b, a, *_rows(pts), _shared_segments(pts)),
                       "Tb", (a, b))
 
 
@@ -341,11 +350,11 @@ def solve_ncst(points: Sequence[Sequence[float]], prune: bool = True) -> SolveRe
     works out every point pair once: one table of n^2 distances, from the
     row source _rows, for the guess filter, the lengths and the anchored
     trees' sort keys, and one segment per pair, on first use, for all the
-    anchored trees.  Each point's offsets to the others are taken once, the
+    anchored trees.  A point's offsets to the others are taken once, the
     first time it roots an anchored tree.  A candidate's length is the
-    math.fsum of its edges' table entries, so its Tree is made only when
-    the gate checks it.  Raises ValueError when (n - 1) * diameter
-    overflows a double.
+    math.fsum of its edges' table entries, so an anchored tree's Tree is
+    made only when the gate checks it.  Raises ValueError when
+    (n - 1) * diameter overflows a double.
     """
     n = len(points)
     if n < 2:
@@ -356,8 +365,8 @@ def solve_ncst(points: Sequence[Sequence[float]], prune: bool = True) -> SolveRe
         raise ValueError("all points coincide")
     _check_length_bound(n - 1, diam)
 
-    row = _rows(pts)
-    rows = [row(i)[0] for i in range(n)]  # rows[i][j] is dist(pts[i], pts[j])
+    row, offsets = _rows(pts)
+    rows = list(map(row, range(n)))  # rows[i][j] is dist(pts[i], pts[j])
     threshold = ncst_params(1.0).d * diam * (1.0 - 1e-12)
     guesses = [
         (i, j) for i in range(n) for j in range(i + 1, n)
@@ -367,19 +376,20 @@ def solve_ncst(points: Sequence[Sequence[float]], prune: bool = True) -> SolveRe
     collinear = all(orientation(pts[iu], pts[iv], p) == 0 for p in pts)
     seg = _shared_segments(pts)  # one per point pair for every anchored tree
     candidates = chain(
-        (([(c, k) for k in range(n) if k != c], "star", None, c) for c in range(n)),  # as by star
-        [(_monotone_path(pts, iu, iv).edges, "path", None, None)] if collinear else [],
-        ((_anchored_tree(pts, i, j, row, seg), "Ta", (i, j), None) for i, j in guesses),
-        ((_anchored_tree(pts, j, i, row, seg), "Tb", (i, j), None) for i, j in guesses),
+        ((star(pts, c), "star", None, c) for c in range(n)),
+        [(_monotone_path(pts, iu, iv), "path", None, None)] if collinear else [],
+        ((_anchored_tree(pts, i, j, row, offsets, seg), "Ta", (i, j), None) for i, j in guesses),
+        ((_anchored_tree(pts, j, i, row, offsets, seg), "Tb", (i, j), None) for i, j in guesses),
     )
     winner, winner_len = None, -1.0
-    for edges, *kind in candidates:  # in tie order: only a strictly longer tree wins
-        if edges is None:
+    for tree, *kind in candidates:  # in tie order: only a strictly longer tree wins
+        if tree is None:
             continue
+        edges = tree if isinstance(tree, list) else tree.edges  # an anchored tree's raw edges
         length = math.fsum(rows[i][j] for i, j in edges)  # as tree_length
         # every star is checked whatever its length; gating them too is a ROADMAP item
         if length > winner_len or kind[0] == "star":
-            cand = _candidate(pts, edges, *kind)
+            cand = _candidate(pts, tree, *kind)
             if cand.noncrossing and length > winner_len:
                 winner, winner_len = cand, length
     if winner is None:

@@ -166,7 +166,7 @@ def test_strip_split_keeps_subnormal_strip_lines_apart():
     assert build_Ta([(0.0, 0.0), (5e-324, 0.0)], 0, 1).tree.edges == ((0, 1),)
     pts = [(0.0, 0.0), (40.0, 0.0), (3.0, 5.0), (20.0, -7.0), (38.0, 9.0), (6.0, -2.0), (33.0, 1.0)]
     tiny = [(math.ldexp(x, -1074), math.ldexp(y, -1074)) for x, y in pts]
-    assert _strip_split(tiny, 0, 1, _rows(tiny))[3] == _strip_split(pts, 0, 1, _rows(pts))[3]
+    assert _strip_split(tiny, 0, 1, *_rows(tiny))[3] == _strip_split(pts, 0, 1, *_rows(pts))[3]
     for build in (build_Ta, build_Tb):
         assert build(tiny, 0, 1).tree == build(pts, 0, 1).tree
     for prune in (True, False):
@@ -181,7 +181,7 @@ def test_anchored_trees_abort_when_subnormal_strip_lines_collapse(x, stars):
     # frame, the strip lines round onto a and b, and the mate lands in the
     # middle strip, so there is no spoke to hang the other points from
     pts = [(0.0, 0.0), (5e-324, 0.0), (x, 0.0)]
-    assert 1 in _strip_split(pts, 0, 1, _rows(pts))[3][1]  # the middle strip
+    assert 1 in _strip_split(pts, 0, 1, *_rows(pts))[3][1]  # the middle strip
     for build in (build_Ta, build_Tb):
         cand = build(pts, 0, 1)
         assert (cand.tree, cand.noncrossing) == (None, False)
