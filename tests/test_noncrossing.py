@@ -555,7 +555,8 @@ def test_solve_ncst_works_out_each_point_pair_once(seed, monkeypatch):
     # most once; is_noncrossing builds its own n - 1 segments per checked
     # candidate, and every pair is an edge of a star.  One table of n
     # distance rows serves the guess filter, the lengths and the anchored
-    # trees' sort keys, so no candidate calls dist.  Two-cluster input has
+    # trees' sort keys, so no candidate calls dist, and a point's offsets
+    # are built only when it roots an anchored tree.  Two-cluster input has
     # no middle-strip point and so probes no segment; the uniform and
     # lattice sets do.
     rng = random.Random(seed)
@@ -565,7 +566,9 @@ def test_solve_ncst_works_out_each_point_pair_once(seed, monkeypatch):
         "uniform": generate(GenSpec("uniform_square", 32, seed)),
         "lattice_mix": rng.sample(cells, 8) + [(rng.random(), rng.random()) for _ in range(12)],
     }
+    roots = {name: set(chain(*solve_ncst_reference(pts)["guesses"])) for name, pts in sets.items()}
     built, shared, calls, rows, checks, scanning = Counter(), Counter(), [], [], [], []
+    rooted = []
 
     def segment_spy(p, q):
         pair = frozenset((tuple(p), tuple(q)))
@@ -582,6 +585,15 @@ def test_solve_ncst_works_out_each_point_pair_once(seed, monkeypatch):
         rows.append(origin)
         return _dist_row(points, origin, floats)
 
+    def rows_spy(points):
+        row, offsets = _rows(points)
+
+        def offsets_spy(i):
+            rooted.append(i)
+            return offsets(i)
+
+        return row, offsets_spy
+
     def is_noncrossing_spy(tree, points):
         checks.append(tree)
         scanning.append(tree)
@@ -594,19 +606,22 @@ def test_solve_ncst_works_out_each_point_pair_once(seed, monkeypatch):
         monkeypatch.setattr(module, "_segment", segment_spy, raising=False)
         monkeypatch.setattr(module, "dist", dist_spy, raising=False)
     monkeypatch.setattr(noncrossing, "_dist_row", dist_row_spy)
+    monkeypatch.setattr(noncrossing, "_rows", rows_spy)
     monkeypatch.setattr(noncrossing, "is_noncrossing", is_noncrossing_spy)
     for name, pts in sets.items():
         n = len(pts)
-        for spied in (built, shared, calls, rows, checks):
+        for spied in (built, shared, calls, rows, checks, rooted):
             spied.clear()
         rep = solve_ncst(pts)
         assert len(built) == n * (n - 1) // 2 and set(shared.values()) <= {1}
         assert built.total() - shared.total() == (n - 1) * len(checks)
         assert calls == [] and len(rows) == n, name
+        assert set(rooted) == roots[name], name
         if name == "two_cluster":
             assert rep.metrics["guesses_tried"] == 100 and not shared
         else:
             assert shared, name
+    assert len(roots["uniform"]) < len(sets["uniform"])  # pruning leaves few roots
 
 
 def _gate_corpus():
