@@ -8,12 +8,12 @@ points to the anchor, near-strip points into angular wedges, middle-strip
 points greedily to visible wedge endpoints).  Every builder makes a spanning
 tree by construction, so is_noncrossing's exact crossing check validates
 each candidate, and the reported tree is always a noncrossing spanning tree.
-A solve checks every star, and a later candidate only when it is strictly
-longer than the best valid tree so far, since no other can win.  The
-anchored trees work out per guess only what depends on the guess (the
-frame, the strips, the angles and the sweeps); each point's distance row
-and coordinate offsets come from one row source per solve, and a Tree is
-made only for a candidate that is checked.
+A solve checks every star in one loop and, in a second, a later candidate
+(as raw edges) only when it is strictly longer than the best valid tree so
+far, since no other can win.  An anchored tree works out per guess only
+the frame, the strips, the angles and the sweeps; each point's distances
+and offsets and each pair's segment come from one source per solve, and
+a Tree is made only for a candidate that is checked.
 """
 
 from __future__ import annotations
@@ -27,11 +27,11 @@ from operator import add, mul, sub
 from typing import Callable, NamedTuple, Sequence
 
 from .geometry import (
-    _check_length_bound, _dist_row, _farthest_pair, _first_crossing, _floats, as_points,
-    orientation,
+    _check_length_bound, _dist_row, _farthest_pair, _first_crossing, _floats, _segment,
+    as_points, orientation,
 )
 from .report import SolveReport
-from .trees import Tree, _shared_segments, is_noncrossing, star
+from .trees import Tree, is_noncrossing, star
 
 DELTA_NONCROSSING = 0.519
 STRIP_OMEGA = 0.16
@@ -130,14 +130,14 @@ def ncst_label(da: float, db: float, strip: str, params: NcstParams) -> PointLab
     )
 
 
-def _rows(
-    points: Sequence[Sequence[float]],
-) -> tuple[Callable[[int], list[float]], Callable[[int], tuple]]:
-    # row(i): the distances |p_i p_k|, as by dist, from point i to every
-    # point k; offsets(i): the coordinate offsets p_k - p_i, as two lists.
-    # Each is built once per i, on first use: the one row source of the
-    # strip split, the anchored trees and solve_ncst's distance table, which
-    # takes every row but the offsets only of the points that root a tree
+def _rows(points: Sequence[Sequence[float]]) -> tuple[Callable, Callable, Callable]:
+    # The one per-solve source of the strip split, the anchored trees and
+    # solve_ncst's distance table, each part built once, on first use.
+    # row(i): the distances |p_i p_k|, as by dist, so row(i)[k] == row(k)[i];
+    # offsets(i): the coordinate offsets p_k - p_i, as two lists, taken by
+    # a solve only for the points that root a tree; segment(i, j): the
+    # segment p_i p_j, keyed by (min, max), since the crossing kernel's
+    # exact verdict ignores endpoint order
     floats = _floats(points)
     xs, ys = [p[0] for p in points], [p[1] for p in points]
 
@@ -149,29 +149,29 @@ def _rows(
     def offsets(i: int) -> tuple[list[float], list[float]]:
         return list(map(sub, xs, repeat(xs[i]))), list(map(sub, ys, repeat(ys[i])))
 
-    return row, offsets
+    pair = cache(lambda i, j: _segment(points[i], points[j]))
+    return row, offsets, lambda i, j: pair(i, j) if i < j else pair(j, i)
 
 
 def _strip_split(
-    points: Sequence[Sequence[float]], a: int, b: int,
-    row: Callable[[int], list[float]], offsets: Callable[[int], tuple],
+    points: Sequence[Sequence[float]], a: int, b: int, offsets: Callable[[int], tuple],
 ) -> tuple:
     """|ab|, every point's coordinates in the frame of the guess, measured
     from a (x along the unit vector from a to b, y across it), and the
     indices of the points in each strip, in index order: left for
     x < omega*|ab|, right for x > (1 - omega)*|ab|, middle between, the
-    strip lines included.  row and offsets are the points' row source (see
-    _rows).  Below _STRIP_MIN_AB the frame is that of the offsets from a
-    scaled by a power of two, so that the strip lines stay apart.  The one
-    check of a guess: raises ValueError when a or b is out of range or the
-    two points coincide."""
+    strip lines included.  offsets is the per-solve offset source (see
+    _rows), and |ab| is dist's value.  Below _STRIP_MIN_AB the frame is
+    that of the offsets from a scaled by a power of two, so that the strip
+    lines stay apart.  The one check of a guess: raises ValueError when a
+    or b is out of range or the two points coincide."""
     for k in (a, b):
         if not 0 <= k < len(points):
             raise ValueError(f"guess index {k} out of range for {len(points)} points")
-    ab = unit = row(a)[b]
+    dx, dy = offsets(a)
+    ab = unit = math.hypot(dx[b], dy[b])
     if ab == 0.0:
         raise ValueError("guess points coincide")
-    dx, dy = offsets(a)
     if ab < _STRIP_MIN_AB:
         e = min(math.frexp(max(map(abs, chain(dx, dy))))[1], 0)
         dx, dy = [math.ldexp(c, -e) for c in dx], [math.ldexp(c, -e) for c in dy]
@@ -194,8 +194,8 @@ def classify_points(points: Sequence[Sequence[float]], a: int, b: int) -> Region
     projects onto the ab direction; points on a strip line count as middle.
     """
     points = as_points(points)
-    row, offsets = _rows(points)
-    ab, _, _, strips = _strip_split(points, a, b, row, offsets)
+    row, offsets, _ = _rows(points)
+    ab, _, _, strips = _strip_split(points, a, b, offsets)
     params = ncst_params(ab)
     strip = {k: name for name, part in zip(("left", "middle", "right"), strips) for k in part}
     labels = tuple(
@@ -228,8 +228,8 @@ def _candidate(
     guess: tuple[int, int] | None = None, center: int | None = None,
 ) -> NcstCandidate:
     # Builders span by construction, so is_noncrossing is the one check; a
-    # failed construction or a zero-length edge (equal points) rejects.  An
-    # anchored tree comes as its raw edges, and its Tree is made here.
+    # failed construction or a zero-length edge (equal points) rejects.  The
+    # path and an anchored tree come as raw edges, and their Tree is made here.
     if isinstance(tree, list):
         tree = Tree(len(points), tuple(tree))
     try:
@@ -255,13 +255,12 @@ def _anchored_tree(
     tree vertex; an unattachable point aborts the construction.  Only the
     frame, the strips, the angles and the sweeps are worked out per guess:
     every distance (the sort keys of the spokes, of a middle point's wedge
-    endpoints and of its fallback) and the root's offsets come from the row
-    source row and offsets (see _rows), and every segment from
-    segment(i, j); a solve shares both across its trees.  The edges come
-    back as built, unsorted, so that a caller makes a Tree only for a tree
-    it checks.
+    endpoints and of its fallback), the root's offsets and every segment
+    come from the per-solve source row, offsets and segment (see _rows),
+    which a solve shares across its trees.  The edges come back as built,
+    unsorted, so that a caller makes a Tree only for a tree it checks.
     """
-    _, xs, ys, (left, middle, right) = _strip_split(points, root, far, row, offsets)
+    _, xs, ys, (left, middle, right) = _strip_split(points, root, far, offsets)
     # Reached when |ab| is subnormal and a point lies 1/2 or more away:
     # _strip_split keeps the frame, and the strip lines round together.
     if far not in right:
@@ -283,7 +282,7 @@ def _anchored_tree(
     def wedge_index(phi: float) -> int:
         return max(bisect_right(spoke_angles, phi) - 1, 0)
 
-    for k in sorted(left, key=theta.__getitem__):
+    for k in left:  # each joins its own wedge's spoke, whatever the order
         edges.append((spokes[wedge_index(theta[k])], k))
         attached.append(k)
 
@@ -316,23 +315,21 @@ def _anchored_tree(
 def build_Ta(points: Sequence[Sequence[float]], a: int, b: int) -> NcstCandidate:
     """Anchored tree for guess (a, b) rooted at a, over as_points(points)."""
     pts = as_points(points)
-    return _candidate(pts, _anchored_tree(pts, a, b, *_rows(pts), _shared_segments(pts)),
-                      "Ta", (a, b))
+    return _candidate(pts, _anchored_tree(pts, a, b, *_rows(pts)), "Ta", (a, b))
 
 
 def build_Tb(points: Sequence[Sequence[float]], a: int, b: int) -> NcstCandidate:
     """Mirror construction rooted at b (same sweeps, reversed axis)."""
     pts = as_points(points)
-    return _candidate(pts, _anchored_tree(pts, b, a, *_rows(pts), _shared_segments(pts)),
-                      "Tb", (a, b))
+    return _candidate(pts, _anchored_tree(pts, b, a, *_rows(pts)), "Tb", (a, b))
 
 
-def _monotone_path(points: Sequence[Sequence[float]], iu: int, iv: int) -> Tree:
+def _monotone_path(points: Sequence[Sequence[float]], iu: int, iv: int) -> list[tuple[int, int]]:
     pu, pv = points[iu], points[iv]
     ux, uy = pv[0] - pu[0], pv[1] - pu[1]
     proj = [(p[0] - pu[0]) * ux + (p[1] - pu[1]) * uy for p in points]
     order = sorted(range(len(points)), key=proj.__getitem__)  # stable: ties by index
-    return Tree(len(points), tuple(zip(order, order[1:])))
+    return list(zip(order, order[1:]))
 
 
 def solve_ncst(points: Sequence[Sequence[float]], prune: bool = True) -> SolveReport:
@@ -341,20 +338,20 @@ def solve_ncst(points: Sequence[Sequence[float]], prune: bool = True) -> SolveRe
     Candidates: the n stars, a monotone path on collinear input (where
     stars self-overlap), and T_a and T_b per guess pair.  They span by
     construction, and is_noncrossing's exact crossing check discards the
-    rest.  Every star is checked; a later candidate only when its length is
-    strictly greater than the best valid tree's so far, since no other can
-    win, so this gate never changes the winner.
+    rest.  A first loop checks every star; a second takes the later
+    candidates as raw edges and checks one only when its length is strictly
+    greater than the best valid tree's so far: no other can win.
     Pruning skips guesses shorter than d * diameter, which the stars cover.
     Ties keep the earliest candidate in the order stars (by center), path,
     every T_a, then every T_b (each by lexicographic guess).  Each call
-    works out every point pair once: one table of n^2 distances, from the
-    row source _rows, for the guess filter, the lengths and the anchored
-    trees' sort keys, and one segment per pair, on first use, for all the
-    anchored trees.  A point's offsets to the others are taken once, the
-    first time it roots an anchored tree.  A candidate's length is the
-    math.fsum of its edges' table entries, so an anchored tree's Tree is
-    made only when the gate checks it.  Raises ValueError when
-    (n - 1) * diameter overflows a double.
+    works out every point pair once, from the per-solve source _rows: one
+    table of n^2 distances for the guess filter, the lengths and the sort
+    keys, and one segment per pair, on first use, for the anchored trees.
+    A candidate's length is the math.fsum of its edges' table entries (a
+    star's is its center's row), so an anchored tree's Tree is made only
+    when the gate checks it.  Raises ValueError when (n - 1) * diameter
+    overflows a double, or when no candidate is valid, naming the first
+    pair of equal points if there is one.
     """
     n = len(points)
     if n < 2:
@@ -365,35 +362,35 @@ def solve_ncst(points: Sequence[Sequence[float]], prune: bool = True) -> SolveRe
         raise ValueError("all points coincide")
     _check_length_bound(n - 1, diam)
 
-    row, offsets = _rows(pts)
+    row, offsets, segment = _rows(pts)
     rows = list(map(row, range(n)))  # rows[i][j] is dist(pts[i], pts[j])
     threshold = ncst_params(1.0).d * diam * (1.0 - 1e-12)
     guesses = [
         (i, j) for i in range(n) for j in range(i + 1, n)
         if (ab := rows[i][j]) != 0.0 and not (prune and ab < threshold)
     ]
+    winner, winner_len = None, -1.0
+    # every star is checked whatever its length; gating them too is a ROADMAP item
+    for c in range(n):
+        cand = _candidate(pts, star(pts, c), "star", center=c)
+        if cand.noncrossing and (length := math.fsum(rows[c])) > winner_len:
+            winner, winner_len = cand, length
     # iu and iv differ by value, since diam > 0
     collinear = all(orientation(pts[iu], pts[iv], p) == 0 for p in pts)
-    seg = _shared_segments(pts)  # one per point pair for every anchored tree
-    candidates = chain(
-        ((star(pts, c), "star", None, c) for c in range(n)),
-        [(_monotone_path(pts, iu, iv), "path", None, None)] if collinear else [],
-        ((_anchored_tree(pts, i, j, row, offsets, seg), "Ta", (i, j), None) for i, j in guesses),
-        ((_anchored_tree(pts, j, i, row, offsets, seg), "Tb", (i, j), None) for i, j in guesses),
+    later = chain(
+        [(_monotone_path(pts, iu, iv), "path", None)] if collinear else [],
+        ((_anchored_tree(pts, i, j, row, offsets, segment), "Ta", (i, j)) for i, j in guesses),
+        ((_anchored_tree(pts, j, i, row, offsets, segment), "Tb", (i, j)) for i, j in guesses),
     )
-    winner, winner_len = None, -1.0
-    for tree, *kind in candidates:  # in tie order: only a strictly longer tree wins
-        if tree is None:
-            continue
-        edges = tree if isinstance(tree, list) else tree.edges  # an anchored tree's raw edges
-        length = math.fsum(rows[i][j] for i, j in edges)  # as tree_length
-        # every star is checked whatever its length; gating them too is a ROADMAP item
-        if length > winner_len or kind[0] == "star":
-            cand = _candidate(pts, tree, *kind)
-            if cand.noncrossing and length > winner_len:
+    for edges, *kind in later:  # in tie order: only a strictly longer tree wins
+        if edges is not None and (length := math.fsum(rows[i][j] for i, j in edges)) > winner_len:
+            cand = _candidate(pts, edges, *kind)
+            if cand.noncrossing:
                 winner, winner_len = cand, length
     if winner is None:
-        raise ValueError("no valid noncrossing candidate (degenerate input)")
+        pair = next(((i, j) for i in range(n) for j in range(i + 1, n) if pts[i] == pts[j]), None)
+        where = f"; points {pair[0]} and {pair[1]} coincide" if pair else ""
+        raise ValueError(f"no valid noncrossing candidate (degenerate input{where})")
 
     upper = (n - 1) * diam
     metrics = {

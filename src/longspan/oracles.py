@@ -30,9 +30,10 @@ def exact_ncst(
     optimistic bound (current length plus the longest still-available edges)
     cuts hopeless branches; the bound carries a small relative slack so
     pruned and unpruned runs return identical trees at any coordinate scale.
-    Ties break to the lexicographically smallest edge list.  Input whose
-    extent overflows a double is rejected, as by diametral_pair, and so is
-    input where (n - 1) times the longest distance overflows.
+    Ties among equal running sums (the search adds lengths left to right)
+    break to the lexicographically smallest edge list.  Input whose extent
+    overflows a double is rejected, as by diametral_pair, and so is input
+    where (n - 1) times the longest distance overflows.
     """
     n = len(points)
     if n < 2:

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 from operator import neg
 from typing import Callable, Sequence
 
@@ -98,13 +97,6 @@ def is_noncrossing(
         if (m := _first_crossing(s, segs, k + 1)) >= 0:
             return False, (edges[k], edges[m])
     return True, None
-
-
-def _shared_segments(points: Sequence[Sequence[float]]) -> Callable[[int, int], tuple]:
-    # A segment source that builds each pair's segment once, keyed by
-    # (min, max): the crossing kernel's exact verdict ignores endpoint order.
-    pair = cache(lambda i, j: _segment(points[i], points[j]))
-    return lambda i, j: pair(i, j) if i < j else pair(j, i)
 
 
 def _prim(

@@ -2,12 +2,13 @@ import hashlib
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import chain
 
 import pytest
 
 from longspan import noncrossing, oracles, trees
-from longspan.geometry import _dist_row, _segment, diametral_pair, dist, orientation
+from longspan.geometry import _dist_row, _segment, as_points, diametral_pair, dist, orientation
 from longspan.instances import GenSpec, generate
 from longspan.noncrossing import (
     _rows,
@@ -19,7 +20,7 @@ from longspan.noncrossing import (
     solve_ncst,
 )
 from longspan.oracles import exact_ncst
-from longspan.trees import is_noncrossing, star, tree_length, validate_spanning_tree
+from longspan.trees import Tree, is_noncrossing, star, tree_length, validate_spanning_tree
 
 from helpers import crossing_scan_reference, max_noncrossing_tree_bruteforce, solve_ncst_reference
 
@@ -166,7 +167,7 @@ def test_strip_split_keeps_subnormal_strip_lines_apart():
     assert build_Ta([(0.0, 0.0), (5e-324, 0.0)], 0, 1).tree.edges == ((0, 1),)
     pts = [(0.0, 0.0), (40.0, 0.0), (3.0, 5.0), (20.0, -7.0), (38.0, 9.0), (6.0, -2.0), (33.0, 1.0)]
     tiny = [(math.ldexp(x, -1074), math.ldexp(y, -1074)) for x, y in pts]
-    assert _strip_split(tiny, 0, 1, *_rows(tiny))[3] == _strip_split(pts, 0, 1, *_rows(pts))[3]
+    assert _strip_split(tiny, 0, 1, _rows(tiny)[1])[3] == _strip_split(pts, 0, 1, _rows(pts)[1])[3]
     for build in (build_Ta, build_Tb):
         assert build(tiny, 0, 1).tree == build(pts, 0, 1).tree
     for prune in (True, False):
@@ -181,12 +182,52 @@ def test_anchored_trees_abort_when_subnormal_strip_lines_collapse(x, stars):
     # frame, the strip lines round onto a and b, and the mate lands in the
     # middle strip, so there is no spoke to hang the other points from
     pts = [(0.0, 0.0), (5e-324, 0.0), (x, 0.0)]
-    assert 1 in _strip_split(pts, 0, 1, *_rows(pts))[3][1]  # the middle strip
+    assert 1 in _strip_split(pts, 0, 1, _rows(pts)[1])[3][1]  # the middle strip
     for build in (build_Ta, build_Tb):
         cand = build(pts, 0, 1)
         assert (cand.tree, cand.noncrossing) == (None, False)
     rep = solve_ncst(pts, prune=False)
     assert (rep.candidate, rep.tree.edges) == ("star", stars)
+
+
+def _table_identity_sets():
+    rng = random.Random(41)
+    uniform = [(rng.random(), rng.random()) for _ in range(9)]
+    lattice = [(rng.randrange(-6, 7), rng.randrange(-6, 7)) for _ in range(9)]
+    yield "float", uniform
+    yield "int", lattice
+    yield "fraction", [(Fraction(x, 7), Fraction(y, 3)) for x, y in lattice]
+    # small ints beside floats, and an int no double holds, which turns
+    # every float into a Fraction
+    yield "mixed", [(x, y + 0.25) if k % 2 else (x / 3, y) for k, (x, y) in enumerate(lattice)]
+    yield "mixed-wide", [(2**60 + 1, 0.5)] + [(x + 0.5, Fraction(y, 3)) for x, y in lattice]
+    for e in (600, -600):
+        yield f"2^{e}", [(math.ldexp(x, e), math.ldexp(y, e)) for x, y in uniform]
+    yield "duplicates", uniform[:5] + [uniform[2], uniform[0]] + uniform[2:4]
+
+
+@pytest.mark.parametrize("pts", [pytest.param(p, id=k) for k, p in _table_identity_sets()])
+def test_solver_table_identities(pts):
+    # solve_ncst's star loop and _strip_split rest on these: the distance
+    # table is symmetric bit for bit, a star's length is the fsum of its
+    # center's row (whose self entry is 0.0), and |ab| from the offsets is
+    # dist's value
+    pts = as_points(pts)
+    n = len(pts)
+    row, offsets, _ = _rows(pts)
+    for i in range(n):
+        assert row(i)[i] == 0.0
+        for j in range(n):
+            assert row(i)[j].hex() == row(j)[i].hex() == dist(pts[i], pts[j]).hex()
+        assert math.fsum(row(i)).hex() == tree_length(star(pts, i), pts).hex()
+    for a in range(n):
+        for b in range(n):
+            if pts[a] == pts[b]:
+                with pytest.raises(ValueError, match="guess points coincide"):
+                    _strip_split(pts, a, b, offsets)
+            else:
+                ab = _strip_split(pts, a, b, offsets)[0]
+                assert ab.hex() == dist(pts[a], pts[b]).hex()
 
 
 def _spanning_families():
@@ -211,7 +252,7 @@ def test_candidate_builders_make_spanning_trees(pts):
     trees = [star(pts, c) for c in range(n)]
     iu, iv = diametral_pair(pts)
     if all(orientation(pts[iu], pts[iv], p) == 0 for p in pts):
-        trees.append(noncrossing._monotone_path(pts, iu, iv))
+        trees.append(Tree(n, tuple(noncrossing._monotone_path(pts, iu, iv))))
     anchored = [build(pts, i, j).tree for i in range(n) for j in range(i + 1, n)
                 if dist(pts[i], pts[j]) != 0.0 for build in (build_Ta, build_Tb)]
     assert any(tree is not None for tree in anchored)
@@ -586,13 +627,13 @@ def test_solve_ncst_works_out_each_point_pair_once(seed, monkeypatch):
         return _dist_row(points, origin, floats)
 
     def rows_spy(points):
-        row, offsets = _rows(points)
+        row, offsets, segment = _rows(points)
 
         def offsets_spy(i):
             rooted.append(i)
             return offsets(i)
 
-        return row, offsets_spy
+        return row, offsets_spy, segment
 
     def is_noncrossing_spy(tree, points):
         checks.append(tree)
@@ -650,7 +691,7 @@ def test_solve_ncst_checks_a_candidate_only_when_it_could_win(name, pts, monkeyp
 
     stars = [star(pts, c) for c in range(n)]
     iu, iv = diametral_pair(pts)
-    path = [noncrossing._monotone_path(pts, iu, iv)] if all(
+    path = [Tree(n, tuple(noncrossing._monotone_path(pts, iu, iv)))] if all(
         orientation(pts[iu], pts[iv], p) == 0 for p in pts) else []
     guesses = solve_ncst_reference(pts)["guesses"]
     anchored = [t for b in (build_Ta, build_Tb) for i, j in guesses
@@ -713,18 +754,27 @@ def test_solve_ncst_rejects_non_finite_points(bad):
 def test_solve_ncst_takes_duplicate_points():
     # the anchored trees' fallback used to try a zero-length edge to a vertex
     # at the point's own coordinates and raise "degenerate segment"
-    with pytest.raises(ValueError, match="no valid noncrossing candidate"):
-        solve_ncst([(2, 1), (1, 1), (1, 1), (1, 0), (1, 1)])
+    # the error names the first coincident pair, and the raise is right: no
+    # noncrossing spanning tree exists there at all
+    dup = [(2, 1), (1, 1), (1, 1), (1, 0), (1, 1)]
+    with pytest.raises(ValueError, match=r"^no valid noncrossing candidate "
+                       r"\(degenerate input; points 1 and 2 coincide\)$"):
+        solve_ncst(dup)
+    with pytest.raises(ValueError, match="no noncrossing spanning tree found"):
+        exact_ncst(dup)
     solved = 0
     for seed in range(60):
         rng = random.Random(seed)
         n = rng.randrange(4, 16)
         pts = [(rng.random(), rng.random()) for _ in range(n - 1)]
-        pts.insert(rng.randrange(n), pts[rng.randrange(n - 1)])
+        at, copied = rng.randrange(n), rng.randrange(n - 1)
+        pts.insert(at, pts[copied])
+        pair = sorted((at, copied if copied < at else copied + 1))
         try:
             rep = solve_ncst(pts)
         except ValueError as exc:
-            assert "no valid noncrossing candidate" in str(exc)
+            assert str(exc) == ("no valid noncrossing candidate (degenerate input; "
+                                f"points {pair[0]} and {pair[1]} coincide)")
             continue
         assert validate_spanning_tree(rep.tree, pts) is None
         assert is_noncrossing(rep.tree, pts)[0]
