@@ -241,7 +241,7 @@ def _double_star(
     reps[ka], reps[kb] = a, b
     # every position but kb joins a hub: ka joins kb, the others a or b
     hubs = [ka if t else kb for t in to_a]
-    lengths = [ta if t else tb for ta, tb, t in zip(top_a, top_b, to_a)]
+    lengths = list(map(max, top_a, top_b))
     hubs[ka], lengths[ka], lengths[kb] = kb, row_a[b], 0.0  # kb joins no hub
     return math.fsum(lengths), reps, [(k, h) for k, h in enumerate(hubs) if k != kb]
 

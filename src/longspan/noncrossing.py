@@ -164,14 +164,16 @@ def _strip_split(
     _rows), and |ab| is dist's value.  Below _STRIP_MIN_AB the frame is
     that of the offsets from a scaled by a power of two, so that the strip
     lines stay apart.  The one check of a guess: raises ValueError when a
-    or b is out of range or the two points coincide."""
+    or b is out of range or |ab| is 0.0, saying "coincide" only when the
+    two points are equal by value."""
     for k in (a, b):
         if not 0 <= k < len(points):
             raise ValueError(f"guess index {k} out of range for {len(points)} points")
     dx, dy = offsets(a)
     ab = unit = math.hypot(dx[b], dy[b])
-    if ab == 0.0:
-        raise ValueError("guess points coincide")
+    if ab == 0.0:  # equal points, or distinct ones whose dist rounds to 0.0
+        raise ValueError("guess points coincide" if points[a] == points[b]
+                         else "guess points are too close to separate in doubles")
     if ab < _STRIP_MIN_AB:
         e = min(math.frexp(max(map(abs, chain(dx, dy))))[1], 0)
         dx, dy = [math.ldexp(c, -e) for c in dx], [math.ldexp(c, -e) for c in dy]
@@ -275,16 +277,16 @@ def _anchored_tree(
 
     dr = row(root)
     spokes = sorted(right, key=lambda k: (theta[k], dr[k]))
+    # a list of floats for bisect_right to compare directly, since a key=
+    # call per step measured slower on ncst-degenerate
     spoke_angles = [theta[k] for k in spokes]
     edges = [(root, k) for k in spokes]
-    attached = [root] + spokes
 
     def wedge_index(phi: float) -> int:
         return max(bisect_right(spoke_angles, phi) - 1, 0)
 
     for k in left:  # each joins its own wedge's spoke, whatever the order
         edges.append((spokes[wedge_index(theta[k])], k))
-        attached.append(k)
 
     # built only for middle points, which two-cluster input lacks
     segs = [segment(i, j) for i, j in edges] if middle else []
@@ -302,13 +304,13 @@ def _anchored_tree(
         ordered = sorted(cands, key=lambda w: (-dk[w], w))
         target = next((w for w in ordered if visible(k, w)), None)
         if target is None:
-            fallback = sorted(attached, key=lambda w: (dk[w], w))
+            # every tree vertex: the root and the new end of each edge
+            fallback = sorted([root, *(w for _, w in edges)], key=lambda w: (dk[w], w))
             target = next((w for w in fallback if visible(k, w)), None)
         if target is None:
             return None
         edges.append((target, k))
         segs.append(segment(target, k))
-        attached.append(k)
     return edges
 
 
@@ -359,7 +361,8 @@ def solve_ncst(points: Sequence[Sequence[float]], prune: bool = True) -> SolveRe
     pts = as_points(points)
     (iu, iv), diam, _ = _farthest_pair(pts, range(n))
     if diam == 0.0:
-        raise ValueError("all points coincide")
+        raise ValueError("all points coincide" if len(set(pts)) == 1
+                         else "all points are too close to separate in doubles")
     _check_length_bound(n - 1, diam)
 
     row, offsets, segment = _rows(pts)

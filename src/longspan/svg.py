@@ -21,17 +21,17 @@ class _Canvas:
         ymin, ymax = min(ys), max(ys)
         span = max(xmax - xmin, ymax - ymin) or 1.0  # 1.0 if all points coincide
         margin = 0.08 * span
-        self.xmin, self.ymin = xmin - margin, ymin - margin
+        self.xmin = xmin - margin
         self.scale = 640 / (span + 2 * margin)
         self.w = (xmax - xmin + 2 * margin) * self.scale
         self.h = (ymax - ymin + 2 * margin) * self.scale
         self.ymax = ymax + margin
 
-    def x(self, v: float) -> float:
-        return (v - self.xmin) * self.scale
+    def x(self, v: float) -> str:
+        return _fmt((v - self.xmin) * self.scale)
 
-    def y(self, v: float) -> float:
-        return (self.ymax - v) * self.scale  # flip: SVG y grows downward
+    def y(self, v: float) -> str:
+        return _fmt((self.ymax - v) * self.scale)  # flip: SVG y grows downward
 
 
 def _fmt(v: float) -> str:
@@ -70,26 +70,25 @@ def render_svg(
     ]
 
     if regions is not None:
-        a, b = regions["a"], regions["b"]
         for r in regions.get("radii", ()):
             for c in (a, b):
                 parts.append(
-                    f'<circle cx="{_fmt(cv.x(c[0]))}" cy="{_fmt(cv.y(c[1]))}" '
+                    f'<circle cx="{cv.x(c[0])}" cy="{cv.y(c[1])}" '
                     f'r="{_fmt(r * cv.scale)}" fill="none" stroke="#b2bec3" '
                     'stroke-dasharray="4 3"/>'
                 )
         ab = dist(a, b)
-        cx, cy = (a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0
+        cx, cy = cv.x((a[0] + b[0]) / 2.0), cv.y((a[1] + b[1]) / 2.0)  # the ellipses' centre
         deg = math.degrees(math.atan2(b[1] - a[1], b[0] - a[0]))
         for s in regions.get("ellipse_sums", ()):
             if s < ab:
                 continue
             rx = s / 2.0
-            ry = math.sqrt(max((s / 2.0) ** 2 - (ab / 2.0) ** 2, 0.0))
+            ry = math.sqrt(max(rx ** 2 - (ab / 2.0) ** 2, 0.0))
             parts.append(
-                f'<ellipse cx="{_fmt(cv.x(cx))}" cy="{_fmt(cv.y(cy))}" '
+                f'<ellipse cx="{cx}" cy="{cy}" '
                 f'rx="{_fmt(rx * cv.scale)}" ry="{_fmt(ry * cv.scale)}" '
-                f'transform="rotate({_fmt(-deg)} {_fmt(cv.x(cx))} {_fmt(cv.y(cy))})" '
+                f'transform="rotate({_fmt(-deg)} {cx} {cy})" '
                 'fill="none" stroke="#6c5ce7" stroke-dasharray="2 3"/>'
             )
 
@@ -99,7 +98,7 @@ def render_svg(
             for ring in nb.polygons:
                 if len(ring) > 1:
                     path = " ".join(
-                        f"{_fmt(cv.x(p.x))},{_fmt(cv.y(p.y))}" for p in ring
+                        f"{cv.x(p.x)},{cv.y(p.y)}" for p in ring
                     )
                     parts.append(
                         f'<polygon points="{path}" fill="{col}" '
@@ -107,21 +106,21 @@ def render_svg(
                     )
                 for p in ring:
                     parts.append(
-                        f'<circle cx="{_fmt(cv.x(p.x))}" cy="{_fmt(cv.y(p.y))}" '
+                        f'<circle cx="{cv.x(p.x)}" cy="{cv.y(p.y)}" '
                         f'r="2.5" fill="{col}" fill-opacity="0.55"/>'
                     )
 
     for i, j in edges:
         p, q = points[i], points[j]
         parts.append(
-            f'<line x1="{_fmt(cv.x(p[0]))}" y1="{_fmt(cv.y(p[1]))}" '
-            f'x2="{_fmt(cv.x(q[0]))}" y2="{_fmt(cv.y(q[1]))}" '
+            f'<line x1="{cv.x(p[0])}" y1="{cv.y(p[1])}" '
+            f'x2="{cv.x(q[0])}" y2="{cv.y(q[1])}" '
             'stroke="#2d3436" stroke-width="1.6"/>'
         )
 
     for p in points:
         parts.append(
-            f'<circle cx="{_fmt(cv.x(p[0]))}" cy="{_fmt(cv.y(p[1]))}" '
+            f'<circle cx="{cv.x(p[0])}" cy="{cv.y(p[1])}" '
             'r="4" fill="#0984e3" stroke="#2d3436" stroke-width="0.8"/>'
         )
 

@@ -19,6 +19,7 @@ GEN = [
 ]
 
 GOLDEN = {
+    "c.oracle": "ebb5c259587b0a4215790179d3c4513318802b502b9f866f276c1fd4145bd795",
     "c.pts": "d4c57dda67874823096043d45a7caa88ab36542c4aabc54f81ccdb12cfd734c5",
     "c.report": "d942630290b06a8b9f400800769d272653652c7b628558ecf2d7964f0f2c5484",
     "c.svg": "9c492d827f612c93b470ae44331cf0a900ec2caf9ad4afdf7eb7f2067a41da6c",
@@ -31,10 +32,12 @@ GOLDEN = {
     "lemmas-0.json": "8138b59da80af8e60151986001c20cf939d3743e21683d29baf1fb7c249ded9b",
     "lemmas-1.json": "3de01a12fa1dcb1666420d5a274562068b6eaaab2f2154a4ea41021cda724b54",
     "n1.nbs": "4fd3be634fe6d7c8d50034b3190bde0c350c60f4d35813a55123460ef5647bb0",
+    "n1.oracle": "32d0cf45ce66b755b03c80852c7dd5df9e1d682e8cbb2eb5055c117b410f8788",
     "n1.report": "67e5b26fa508d219e1b03e81d56e580e6e9d854a1c618ff1eb9b0d9b8b2bbceb",
     "n1.svg": "be92ff1cdb6f9b297d733f3bdc1874db19bc684337b0b0b9c1f94d325b10e943",
     "n1.tree": "2fda176ab29c565e957d0401a235dc465666a8c50bd60dbc1acd133d8923e161",
     "ratios.json": "5c07597697a23099c8b6fd5598f8f34219a83b0079dd77ca7df419f2e40b2ead",
+    "u1.oracle": "22fd743a142f15be7616d72f56abc97cd8c80c36d21789dfcd8519ede6734863",
     "u1.pts": "fd198c18d2ffb2efe4f4d66fed00c922be990e807997690aedec8959bb52036f",
     "u1.report": "2c8a64c74ce81095458cc9c9458b1a6b1f47921eee1be516fcd1089fc0de3722",
     "u1.svg": "015c2d6d5e5600f89a7e1fcd3501f0c417086bd8b1e82ae48d27c736e61f0ec7",
@@ -59,6 +62,9 @@ def _run_corpus(tmp_path) -> dict[str, str]:
         commands.append(["stnb", "--nbs", path(f"{stem}.nbs"), "--out", path(f"{stem}.tree"),
                          "--svg", path(f"{stem}.svg"), "--svg-regions",
                          "--report", path(f"{stem}.report")])
+    for problem, stem, ext in (("ncst", "u1", "pts"), ("ncst", "c", "pts"), ("stnb", "n1", "nbs")):
+        commands.append(["oracle", problem, "--in", path(f"{stem}.{ext}"),
+                         "--out", path(f"{stem}.oracle")])
     for seed in ("0", "1"):
         commands.append(["bench", "--suite", "lemmas", "--seed", seed,
                          "--out", path(f"lemmas-{seed}.json")])

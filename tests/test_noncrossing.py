@@ -590,6 +590,37 @@ def test_anchored_trees_are_pinned(corpus, e):
     assert h.hexdigest() == _ANCHORED_DIGESTS[corpus]
 
 
+def test_middle_sweep_falls_back_to_the_nearest_visible_vertex():
+    # T_a of the guess (3, 4) has one spoke, 3-4, which the left point 0
+    # joins.  The middle points go by angle: 2 joins the spoke end 4, since
+    # 2-3 crosses 0-4.  Then 1 sees neither wedge endpoint (1-3 crosses 0-4
+    # and 1-4 runs through 2), so the fallback attaches it to the nearest
+    # visible tree vertex, 2, and the tree is noncrossing
+    pts = [(0, 2), (0, 7), (1, 7), (4, 0), (6, 7)]
+    cand = build_Ta(pts, 3, 4)
+    assert cand.tree.edges == ((0, 4), (1, 2), (2, 4), (3, 4))
+    assert cand.noncrossing
+
+
+def test_only_equal_points_are_said_to_coincide():
+    # distinct Fractions whose dist rounds to 0.0: no frame can be built
+    # from them, but they are not equal, so neither raise says "coincide"
+    tiny = Fraction(1, 10**400)
+    pts = [(Fraction(x), Fraction(y)) for x, y in [(0, 0), (tiny, 0), (1, 1), (1, -1)]]
+    with pytest.raises(ValueError, match="^guess points are too close to separate in doubles$"):
+        build_Ta(pts, 0, 1)
+    with pytest.raises(ValueError, match="^all points are too close to separate in doubles$"):
+        solve_ncst(pts[:2])
+    # the pair is no guess (its dist is 0.0), and the star at 2 wins
+    rep = solve_ncst(pts)
+    assert (rep.candidate, rep.metrics["center"], rep.length) == ("star", 2, 4.82842712474619)
+    # equal points keep the old words
+    with pytest.raises(ValueError, match="^guess points coincide$"):
+        build_Ta([pts[1], pts[2], pts[1]], 0, 2)
+    with pytest.raises(ValueError, match="^all points coincide$"):
+        solve_ncst([pts[1], pts[1], pts[1]])
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_solve_ncst_works_out_each_point_pair_once(seed, monkeypatch):
     # The anchored trees share one segment source, which builds each pair at
